@@ -6,8 +6,6 @@ simulated radars, fuses their streams, and shows what DBSCAN removes and
 how two mounting heights widen the vertical coverage.
 """
 
-import numpy as np
-
 from radarpose.harness import frames_from_records
 from radarpose.pointcloud import fuse_records
 from radarpose.scene import MotionConfig, generate_dataset
@@ -37,7 +35,7 @@ print(f"  merged points: {raw_n}, kept after DBSCAN: {kept_n}, removed as noise:
 
 print("\n=== one fused frame vs its ground truth ===")
 frame = frames_from_records(tight)[4]
-cloud = np.array([p.xyz for p in frame.points])
+cloud = frame.points[:, :3]
 print(f"  frame {frame.frame_id} ({frame.action}, swing_state={frame.swing_state})")
 print(f"  {len(cloud)} points, centroid ({cloud[:, 0].mean():+.2f}, {cloud[:, 1].mean():.2f}, {cloud[:, 2].mean():.2f})")
 pelvis = frame.gt.joint("pelvis")

@@ -10,18 +10,16 @@ from .physics import ChirpConfig, SPEED_OF_LIGHT
 from .fmcw import Detection, RawFrame, Reflector, detect_points, detections_to_points, range_spectrum, synthesize_frame
 from .pointcloud import (
     FusedFrame,
-    RadarPoint,
     RadarPose,
     ViewPair,
     align_streams,
     build_cloud,
     build_views,
     dbscan,
-    denoise,
     fuse_records,
     normalize_snr,
-    radar_to_world,
-    world_to_radar,
+    transform_to_radar,
+    transform_to_world,
 )
 from .scene import MotionConfig, SkeletonFrame, generate_dataset, pose_at, reflectors_from_skeleton, skeleton_template
 from .model import (

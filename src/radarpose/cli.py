@@ -2,8 +2,10 @@
 
 Subcommands: simulate, preprocess, train, eval, ablate, gradcheck. Every
 flag can also be supplied through a ``key = value`` config file passed with
---config (flag names with dashes become underscored keys); explicit flags
-win over the file, the file wins over built-in defaults.
+--config; the key is the flag's destination (``noise_std`` or ``noise-std``
+for --noise-std, ``input`` for --in). Each entry is parsed as that flag, with
+the same type conversion and choices check; explicit flags win over the
+file, the file wins over built-in defaults.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .model import (
     train as train_model,
 )
 from .physics import ChirpConfig
-from .pointcloud import DEFAULT_EPS_M, DEFAULT_MIN_PTS, fuse_records, normalize_snr
+from .pointcloud import DEFAULT_EPS_M, DEFAULT_MIN_PTS, DEFAULT_POSES, fuse_records, normalize_snr
 from .records import read_jsonl, write_jsonl
 from .scene import ACTIONS, MotionConfig, generate_dataset
 
@@ -63,89 +65,32 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _resolve(args, defaults: dict, types: dict) -> dict:
-    """Layer CLI values over config-file values over defaults."""
-    config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            out[key] = cli_val
-        elif key in config:
-            out[key] = types.get(key, str)(config[key])
-        else:
-            out[key] = default
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return out
-
-
 def _comma_list(text: str) -> tuple:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _comma_ints(text) -> tuple:
-    if isinstance(text, tuple):
-        return text
-    return tuple(int(s) for s in str(text).split(",") if s.strip())
+def _comma_ints(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "actions": ACTIONS,
-    "frames": 200,
-    "fps": 20.0,
-    "duration": 3.0,
-    "walk_speed": 0.5,
-    "radars": 2,
-    "subjects": (0, 1),
-    "seed": 42,
-    "noise_std": 0.3,
-    "threshold_db": 8.0,
-    "density": 4,
-    "out": "dataset.jsonl",
-}
-SIMULATE_TYPES = {
-    "actions": _comma_list,
-    "frames": int,
-    "fps": float,
-    "duration": float,
-    "walk_speed": float,
-    "radars": int,
-    "subjects": _comma_ints,
-    "seed": int,
-    "noise_std": float,
-    "threshold_db": float,
-    "density": int,
-    "out": str,
-}
-
-
 def cmd_simulate(args) -> int:
-    opts = _resolve(args, SIMULATE_DEFAULTS, SIMULATE_TYPES)
-    from .pointcloud import DEFAULT_POSES
-
-    poses = DEFAULT_POSES[: opts["radars"]]
-    motion = MotionConfig(
-        fps=opts["fps"], duration_s=opts["duration"], walk_speed=opts["walk_speed"], seed=opts["seed"]
-    )
-    chirp = ChirpConfig(noise_std=opts["noise_std"])
+    motion = MotionConfig(fps=args.fps, duration_s=args.duration, walk_speed=args.walk_speed, seed=args.seed)
     records = generate_dataset(
-        opts["actions"],
+        args.actions,
         motion,
-        radar_poses=poses,
-        chirp_cfg=chirp,
-        out_path=opts["out"],
-        n_frames=opts["frames"],
-        subjects=_comma_ints(opts["subjects"]),
-        density=opts["density"],
-        threshold_db=opts["threshold_db"],
+        radar_poses=DEFAULT_POSES[: args.radars],
+        chirp_cfg=ChirpConfig(noise_std=args.noise_std),
+        out_path=args.out,
+        n_frames=args.frames,
+        subjects=args.subjects,
+        density=args.density,
+        threshold_db=args.threshold_db,
     )
-    print(f"wrote {len(records)} records ({opts['frames']} frames x {opts['radars']} radars) to {opts['out']}")
+    print(f"wrote {len(records)} records ({args.frames} frames x {args.radars} radars) to {args.out}")
     return 0
 
 
@@ -153,90 +98,39 @@ def cmd_simulate(args) -> int:
 # preprocess
 # ---------------------------------------------------------------------------
 
-PREPROCESS_DEFAULTS = {
-    "input": "dataset.jsonl",
-    "out": "fused.jsonl",
-    "eps": DEFAULT_EPS_M,
-    "min_pts": DEFAULT_MIN_PTS,
-    "window_ms": 50.0,
-    "n_max": 64,
-    "radars": (0, 1),
-    "snr_meta": None,
-}
-PREPROCESS_TYPES = {
-    "input": str,
-    "out": str,
-    "eps": float,
-    "min_pts": int,
-    "window_ms": float,
-    "n_max": int,
-    "radars": _comma_ints,
-    "snr_meta": str,
-}
-
-
 def cmd_preprocess(args) -> int:
-    opts = _resolve(args, PREPROCESS_DEFAULTS, PREPROCESS_TYPES)
-    records = read_jsonl(opts["input"])
+    records = read_jsonl(args.input)
     bounds = None
-    if opts["snr_meta"]:
-        meta = json.loads(Path(opts["snr_meta"]).read_text(encoding="utf-8"))
+    if args.snr_meta:
+        meta = json.loads(Path(args.snr_meta).read_text(encoding="utf-8"))
         bounds = (meta["snr_min"], meta["snr_max"])
     fused = fuse_records(
         records,
-        radar_ids=_comma_ints(opts["radars"]),
-        window_ms=opts["window_ms"],
-        eps=opts["eps"],
-        min_pts=opts["min_pts"],
+        radar_ids=args.radars,
+        window_ms=args.window_ms,
+        eps=args.eps,
+        min_pts=args.min_pts,
     )
     fused, (lo, hi) = normalize_snr(fused, bounds)
-    write_jsonl(opts["out"], fused)
+    write_jsonl(args.out, fused)
     meta = {
         "snr_min": lo,
         "snr_max": hi,
-        "eps": opts["eps"],
-        "min_pts": opts["min_pts"],
-        "window_ms": opts["window_ms"],
-        "n_max": opts["n_max"],
-        "radar_ids": list(_comma_ints(opts["radars"])),
+        "eps": args.eps,
+        "min_pts": args.min_pts,
+        "window_ms": args.window_ms,
+        "n_max": args.n_max,
+        "radar_ids": list(args.radars),
     }
-    meta_path = Path(str(opts["out"]) + ".meta.json")
+    meta_path = Path(str(args.out) + ".meta.json")
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    print(f"wrote {len(fused)} fused frames to {opts['out']} (snr affine [{lo:.3f}, {hi:.3f}], meta {meta_path})")
+    print(f"wrote {len(fused)} fused frames to {args.out} (snr affine [{lo:.3f}, {hi:.3f}], meta {meta_path})")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-TRAIN_DEFAULTS = {
-    "data": "fused.jsonl",
-    "variant": "dual_cnn",
-    "lr": 1e-3,
-    "batch": 32,
-    "epochs": 30,
-    "seed": 0,
-    "val_fraction": 0.2,
-    "stop_loss": None,
-    "n_max": None,
-    "checkpoint": "checkpoint.json",
-    "loss_svg": None,
-}
-TRAIN_TYPES = {
-    "data": str,
-    "variant": str,
-    "lr": float,
-    "batch": int,
-    "epochs": int,
-    "seed": int,
-    "val_fraction": float,
-    "stop_loss": float,
-    "n_max": int,
-    "checkpoint": str,
-    "loss_svg": str,
-}
-
 
 def _load_examples(path, n_max):
     records = read_jsonl(path)
@@ -250,26 +144,25 @@ def _load_examples(path, n_max):
 
 
 def cmd_train(args) -> int:
-    opts = _resolve(args, TRAIN_DEFAULTS, TRAIN_TYPES)
-    examples, n_max, snr_bounds = _load_examples(opts["data"], opts["n_max"])
-    cfg = ModelConfig(variant=opts["variant"], n_max=n_max, seed=opts["seed"])
+    examples, n_max, snr_bounds = _load_examples(args.data, args.n_max)
+    cfg = ModelConfig(variant=args.variant, n_max=n_max, seed=args.seed)
     hyper = Hyper(
-        lr=opts["lr"],
-        batch=opts["batch"],
-        epochs=opts["epochs"],
-        seed=opts["seed"],
-        val_fraction=opts["val_fraction"],
-        stop_loss=opts["stop_loss"],
+        lr=args.lr,
+        batch=args.batch,
+        epochs=args.epochs,
+        seed=args.seed,
+        val_fraction=args.val_fraction,
+        stop_loss=args.stop_loss,
     )
     params, history = train_model(cfg, examples, hyper)
     params.snr_bounds = snr_bounds
-    save_checkpoint(params, opts["checkpoint"])
-    if opts["loss_svg"]:
-        loss_curve_svg(history, opts["loss_svg"])
+    save_checkpoint(params, args.checkpoint)
+    if args.loss_svg:
+        loss_curve_svg(history, args.loss_svg)
     last = history[-1]
     print(
-        f"trained {opts['variant']} on {len(examples)} frames for {len(history)} epochs: "
-        f"train_loss={last['train_loss']:.6f} val_loss={last['val_loss']:.6f} -> {opts['checkpoint']}"
+        f"trained {args.variant} on {len(examples)} frames for {len(history)} epochs: "
+        f"train_loss={last['train_loss']:.6f} val_loss={last['val_loss']:.6f} -> {args.checkpoint}"
     )
     return 0
 
@@ -278,25 +171,20 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-EVAL_DEFAULTS = {"checkpoint": "checkpoint.json", "test": "fused_test.jsonl", "report": None}
-EVAL_TYPES = {"checkpoint": str, "test": str, "report": str}
-
-
 def cmd_eval(args) -> int:
-    opts = _resolve(args, EVAL_DEFAULTS, EVAL_TYPES)
-    params = load_checkpoint(opts["checkpoint"])
-    records = read_jsonl(opts["test"])
+    params = load_checkpoint(args.checkpoint)
+    records = read_jsonl(args.test)
     frames = frames_from_records(records)
     examples = examples_from_frames(frames, params.config.n_max)
     preds = predict_batch(params, examples)
     joint_sets = JointSets(included=params.config.included_joints)
     row = evaluate(preds, [f.gt for f in frames], joint_sets, name=params.config.variant)
-    text = report_to_csv(MetricsReport(rows=[row]), opts["report"], joint_sets)
+    text = report_to_csv(MetricsReport(rows=[row]), args.report, joint_sets)
     print(text, end="")
-    if opts["report"]:
-        joints_path = Path(opts["report"]).with_suffix(".joints.csv")
+    if args.report:
+        joints_path = Path(args.report).with_suffix(".joints.csv")
         per_joint_csv([row], joints_path)
-        print(f"wrote {opts['report']} and {joints_path}")
+        print(f"wrote {args.report} and {joints_path}")
     return 0
 
 
@@ -304,80 +192,35 @@ def cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-ABLATE_DEFAULTS = {
-    "out_csv": "ablation.csv",
-    "workdir": "ablation_work",
-    "frames": 2000,
-    "test_frames": 500,
-    "seed": 42,
-    "epochs": 12,
-    "lr": 1e-3,
-    "batch": 32,
-    "train_seed": 0,
-    "n_max": 64,
-    "eps": DEFAULT_EPS_M,
-    "min_pts": DEFAULT_MIN_PTS,
-    "window_ms": 50.0,
-    "noise_std": 0.3,
-    "threshold_db": 8.0,
-    "fps": 20.0,
-    "duration": 3.0,
-    "keep_files": True,
-    "loss_svg": None,
-}
-ABLATE_TYPES = {
-    "out_csv": str,
-    "workdir": str,
-    "frames": int,
-    "test_frames": int,
-    "seed": int,
-    "epochs": int,
-    "lr": float,
-    "batch": int,
-    "train_seed": int,
-    "n_max": int,
-    "eps": float,
-    "min_pts": int,
-    "window_ms": float,
-    "noise_std": float,
-    "threshold_db": float,
-    "fps": float,
-    "duration": float,
-    "keep_files": _to_bool,
-    "loss_svg": str,
-}
-
-
 def cmd_ablate(args) -> int:
-    opts = _resolve(args, ABLATE_DEFAULTS, ABLATE_TYPES)
     cfg = AblationConfig(
-        workdir=opts["workdir"],
-        n_train=opts["frames"],
-        n_test=opts["test_frames"],
-        seed=opts["seed"],
-        fps=opts["fps"],
-        duration_s=opts["duration"],
-        eps=opts["eps"],
-        min_pts=opts["min_pts"],
-        window_ms=opts["window_ms"],
-        noise_std=opts["noise_std"],
-        threshold_db=opts["threshold_db"],
-        n_max=opts["n_max"],
-        lr=opts["lr"],
-        batch=opts["batch"],
-        epochs=opts["epochs"],
-        train_seed=opts["train_seed"],
-        keep_files=opts["keep_files"],
+        workdir=args.workdir,
+        n_train=args.frames,
+        n_test=args.test_frames,
+        seed=args.seed,
+        fps=args.fps,
+        duration_s=args.duration,
+        eps=args.eps,
+        min_pts=args.min_pts,
+        window_ms=args.window_ms,
+        noise_std=args.noise_std,
+        threshold_db=args.threshold_db,
+        n_max=args.n_max,
+        lr=args.lr,
+        batch=args.batch,
+        epochs=args.epochs,
+        train_seed=args.train_seed,
+        keep_files=args.keep_files,
     )
     report = run_ablation(cfg)
-    text = report_to_csv(report, opts["out_csv"])
-    per_joint_csv(report.rows, Path(opts["out_csv"]).with_suffix(".joints.csv"))
+    text = report_to_csv(report, args.out_csv)
+    per_joint_csv(report.rows, Path(args.out_csv).with_suffix(".joints.csv"))
     print(text, end="")
     if report.baseline is not None:
         print(f"mean-pose baseline MAE: {report.baseline.mae_all_cm:.4f} cm")
     for name, digest in report.split_digests.items():
         print(f"split digest {digest}  {name}")
-    print(f"wrote {opts['out_csv']}")
+    print(f"wrote {args.out_csv}")
     return 0
 
 
@@ -385,14 +228,9 @@ def cmd_ablate(args) -> int:
 # gradcheck
 # ---------------------------------------------------------------------------
 
-GRADCHECK_DEFAULTS = {"seed": 0, "tolerance": DEFAULT_RTOL}
-GRADCHECK_TYPES = {"seed": int, "tolerance": float}
-
-
 def cmd_gradcheck(args) -> int:
-    opts = _resolve(args, GRADCHECK_DEFAULTS, GRADCHECK_TYPES)
-    seeds = tuple(opts["seed"] + i for i in range(3))
-    results = run_gradient_checks(seeds=seeds, rtol=opts["tolerance"])
+    seeds = tuple(args.seed + i for i in range(3))
+    results = run_gradient_checks(seeds=seeds, rtol=args.tolerance)
     for res in results:
         print(res)
     failed = [r for r in results if not r.passed]
@@ -418,77 +256,96 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("simulate", cmd_simulate, "generate a synthetic radar dataset (JSONL)")
-    p.add_argument("--actions", type=_comma_list)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--fps", type=float)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--walk-speed", type=float, dest="walk_speed")
-    p.add_argument("--radars", type=int, choices=(1, 2))
-    p.add_argument("--subjects", type=_comma_ints)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--threshold-db", type=float, dest="threshold_db")
-    p.add_argument("--density", type=int)
-    p.add_argument("--out")
+    p.add_argument("--actions", type=_comma_list, default=ACTIONS)
+    p.add_argument("--frames", type=int, default=200)
+    p.add_argument("--fps", type=float, default=20.0)
+    p.add_argument("--duration", type=float, default=3.0)
+    p.add_argument("--walk-speed", type=float, default=0.5)
+    p.add_argument("--radars", type=int, choices=(1, 2), default=2)
+    p.add_argument("--subjects", type=_comma_ints, default=(0, 1))
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--noise-std", type=float, default=0.3)
+    p.add_argument("--threshold-db", type=float, default=8.0)
+    p.add_argument("--density", type=int, default=4)
+    p.add_argument("--out", default="dataset.jsonl")
 
     p = add("preprocess", cmd_preprocess, "fuse, denoise, and SNR-normalize a raw dataset")
-    p.add_argument("--in", dest="input")
-    p.add_argument("--out")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", type=int, dest="min_pts")
-    p.add_argument("--window-ms", type=float, dest="window_ms")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--radars", type=_comma_ints)
-    p.add_argument("--snr-meta", dest="snr_meta")
+    p.add_argument("--in", dest="input", default="dataset.jsonl")
+    p.add_argument("--out", default="fused.jsonl")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS_M)
+    p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
+    p.add_argument("--window-ms", type=float, default=50.0)
+    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--radars", type=_comma_ints, default=(0, 1))
+    p.add_argument("--snr-meta")
 
     p = add("train", cmd_train, "train one model variant on a fused dataset")
-    p.add_argument("--data")
-    p.add_argument("--variant", choices=("dual_cnn", "dual_mlp", "single_pointnet"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--stop-loss", type=float, dest="stop_loss")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--checkpoint")
-    p.add_argument("--loss-svg", dest="loss_svg")
+    p.add_argument("--data", default="fused.jsonl")
+    p.add_argument("--variant", choices=("dual_cnn", "dual_mlp", "single_pointnet"), default="dual_cnn")
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--stop-loss", type=float)
+    p.add_argument("--n-max", type=int, help="default: the n_max of the data's .meta.json, else 64")
+    p.add_argument("--checkpoint", default="checkpoint.json")
+    p.add_argument("--loss-svg")
 
     p = add("eval", cmd_eval, "evaluate a checkpoint on a fused test set")
-    p.add_argument("--checkpoint")
-    p.add_argument("--test")
+    p.add_argument("--checkpoint", default="checkpoint.json")
+    p.add_argument("--test", default="fused_test.jsonl")
     p.add_argument("--report")
 
     p = add("ablate", cmd_ablate, "run the four-configuration comparison")
-    p.add_argument("--out-csv", dest="out_csv")
-    p.add_argument("--workdir")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--test-frames", type=int, dest="test_frames")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--train-seed", type=int, dest="train_seed")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", type=int, dest="min_pts")
-    p.add_argument("--window-ms", type=float, dest="window_ms")
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--threshold-db", type=float, dest="threshold_db")
-    p.add_argument("--fps", type=float)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--keep-files", type=_to_bool, dest="keep_files")
-    p.add_argument("--loss-svg", dest="loss_svg")
+    p.add_argument("--out-csv", default="ablation.csv")
+    p.add_argument("--workdir", default="ablation_work")
+    p.add_argument("--frames", type=int, default=2000)
+    p.add_argument("--test-frames", type=int, default=500)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--epochs", type=int, default=12)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--train-seed", type=int, default=0)
+    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS_M)
+    p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
+    p.add_argument("--window-ms", type=float, default=50.0)
+    p.add_argument("--noise-std", type=float, default=0.3)
+    p.add_argument("--threshold-db", type=float, default=8.0)
+    p.add_argument("--fps", type=float, default=20.0)
+    p.add_argument("--duration", type=float, default=3.0)
+    p.add_argument("--keep-files", type=_to_bool, default=True)
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of all gradients")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_RTOL)
 
     return parser
 
 
+def _config_tokens(parser: argparse.ArgumentParser, command: str, path) -> list[str]:
+    """The config file's entries as ``--flag=value`` tokens for ``command``."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        a.dest: a.option_strings[0]
+        for a in sub.choices[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    config = parse_config_file(path)
+    unknown = set(config) - set(flags)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return [f"{flags[key]}={value}" for key, value in config.items()]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        # config entries go first, so an explicit flag (parsed later) wins
+        args = parser.parse_args([args.command, *_config_tokens(parser, args.command, args.config), *argv[1:]])
     return args.func(args)
 
 

@@ -23,7 +23,6 @@ from .physics import (
     range_from_beat,
     velocity_from_phase,
 )
-from .pointcloud import RadarPoint
 
 #: Cap on reported SNR so that noiseless spectra stay finite [dB].
 SNR_CAP_DB = 120.0
@@ -191,12 +190,14 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
     return detections
 
 
-def detections_to_points(detections: list[Detection], timestamp_ms: int = 0) -> list[RadarPoint]:
-    """Spherical-to-Cartesian conversion into the radar frame."""
-    points = []
+def detections_to_points(detections: list[Detection]) -> np.ndarray:
+    """Spherical-to-Cartesian conversion into the radar frame.
+
+    Returns (N, 5) rows [x, y, z, radial velocity, SNR dB].
+    """
+    rows = []
     for d in detections:
         ca, sa = math.cos(d.azimuth_rad), math.sin(d.azimuth_rad)
         ce, se = math.cos(d.elevation_rad), math.sin(d.elevation_rad)
-        xyz = np.array([d.range_m * sa * ce, d.range_m * ca * ce, d.range_m * se])
-        points.append(RadarPoint(xyz=xyz, velocity=d.radial_velocity, snr=d.snr_db))
-    return points
+        rows.append([d.range_m * sa * ce, d.range_m * ca * ce, d.range_m * se, d.radial_velocity, d.snr_db])
+    return np.array(rows, dtype=float).reshape(-1, 5)

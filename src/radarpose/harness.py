@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    ExampleSet,
     Hyper,
     ModelConfig,
     examples_from_frames,
@@ -34,7 +33,6 @@ from .pointcloud import (
     DEFAULT_MIN_PTS,
     DEFAULT_POSES,
     FusedFrame,
-    RadarPoint,
     fuse_records,
     normalize_snr,
 )
@@ -43,14 +41,12 @@ from .scene import (
     ACTIONS,
     ARM_JOINTS,
     JOINT_INDEX,
-    JOINT_NAMES,
     LOWER_BODY_JOINTS,
     MotionConfig,
     SkeletonFrame,
     generate_dataset,
 )
 
-DEFAULT_EXCLUDED = tuple(n for n in JOINT_NAMES if n not in ModelConfig().included_joints)
 SWING_MARGIN_CM = 5.0
 TEST_SEED_OFFSET = 1000
 
@@ -89,12 +85,22 @@ class MetricsReport:
 
 
 def frames_from_records(records: list[dict]) -> list[FusedFrame]:
-    """Materialize fused JSONL records into in-memory frames."""
+    """Materialize fused JSONL records into in-memory frames.
+
+    Only preprocessed records (``"fused": true``: world-frame points,
+    normalized SNR) are accepted, and every point value must be finite;
+    either error names the frame.
+    """
     frames = []
     for rec in records:
+        if rec.get("fused") is not True:
+            raise ValueError(f"frame {rec['frame_id']}: not a fused record (run preprocess first)")
+        points = np.asarray(rec["points"], dtype=float).reshape(-1, 5)
+        if not np.isfinite(points).all():
+            raise ValueError(f"frame {rec['frame_id']}: non-finite point values")
         frames.append(
             FusedFrame(
-                points=[RadarPoint(xyz=p[:3], velocity=p[3], snr=p[4]) for p in rec["points"]],
+                points=points,
                 timestamp_ms=rec["t_ms"],
                 gt=SkeletonFrame(
                     joints=np.asarray(rec["gt"], dtype=float),

@@ -399,15 +399,19 @@ def _adam_step(params: dict, grads: dict, state: dict, lr: float, t: int,
         params[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
 
 
+def _split(rng: np.random.Generator, n: int, val_fraction: float):
+    order = rng.permutation(n)
+    n_val = int(round(n * val_fraction))
+    return order[n_val:], order[:n_val]
+
+
 def split_indices(n: int, seed: int, val_fraction: float):
     """(train_idx, val_idx): the exact split :func:`train` uses.
 
     The split is the first permutation drawn from ``default_rng(seed)``, so
     external code (e.g. split digests) can reproduce it without training.
     """
-    order = np.random.default_rng(seed).permutation(n)
-    n_val = int(round(n * val_fraction))
-    return order[n_val:], order[:n_val]
+    return _split(np.random.default_rng(seed), n, val_fraction)
 
 
 def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
@@ -422,9 +426,8 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
     if n == 0:
         raise ValueError("training dataset is empty")
     rng = np.random.default_rng(hyper.seed)
-    order = rng.permutation(n)  # keep in sync with split_indices()
-    n_val = int(round(n * hyper.val_fraction))
-    val_idx, train_idx = order[:n_val], order[n_val:]
+    # the epoch shuffles below continue the same stream after the split
+    train_idx, val_idx = _split(rng, n, hyper.val_fraction)
     if len(train_idx) == 0:
         raise ValueError("val_fraction leaves no training frames")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,24 +44,10 @@ DEFAULT_POSES = (RADAR_A_POSE, RADAR_B_POSE)
 
 
 @dataclass
-class RadarPoint:
-    """One detected point: position [m], radial velocity [m/s], SNR."""
-
-    xyz: np.ndarray
-    velocity: float
-    snr: float
-
-    def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(self.xyz)) and math.isfinite(self.velocity) and math.isfinite(self.snr)):
-            raise ValueError("RadarPoint fields must be finite")
-
-
-@dataclass
 class FusedFrame:
     """Denoised, world-frame, timestamp-aligned merge of the radar streams."""
 
-    points: list[RadarPoint]
+    points: np.ndarray  # (N, 5): x, y, z, velocity, snr
     timestamp_ms: int
     gt: "SkeletonFrame | None" = None
     action: str = ""
@@ -88,12 +74,6 @@ def _pitch_rotation(tilt_down_rad: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, ct, st], [0.0, -st, ct]])
 
 
-def radar_to_world(point: RadarPoint, pose: RadarPose) -> RadarPoint:
-    """Map one radar-frame point into the world frame (rigid transform)."""
-    xyz = transform_to_world(point.xyz[None, :], pose)[0]
-    return RadarPoint(xyz=xyz, velocity=point.velocity, snr=point.snr)
-
-
 def transform_to_world(xyz: np.ndarray, pose: RadarPose) -> np.ndarray:
     """Vectorized radar-to-world map for an (N, 3) array."""
     rot = _pitch_rotation(pose.tilt_down_rad)
@@ -118,28 +98,22 @@ def rotate_to_radar(vec: np.ndarray, pose: RadarPose) -> np.ndarray:
     return np.asarray(vec, dtype=float) @ rot
 
 
-def world_to_radar(point: RadarPoint, pose: RadarPose) -> RadarPoint:
-    xyz = transform_to_radar(point.xyz[None, :], pose)[0]
-    return RadarPoint(xyz=xyz, velocity=point.velocity, snr=point.snr)
-
-
-def _default_time_key(item):
+def _time_key(item):
     if isinstance(item, dict):
         return item["t_ms"]
     return item
 
 
-def align_streams(stream_a, stream_b, window_ms: float, key=None) -> list[tuple]:
+def align_streams(stream_a, stream_b, window_ms: float) -> list[tuple]:
     """Pair two timestamp-sorted streams by greedy nearest timestamp.
 
-    Candidate pairs with |dt| <= window_ms / 2 are accepted closest-first;
-    each frame is used at most once. Returns (item_a, item_b) pairs sorted
-    by the a-side timestamp.
+    Items are records (keyed by ``"t_ms"``) or bare timestamps. Candidate
+    pairs with |dt| <= window_ms / 2 are accepted closest-first; each frame
+    is used at most once. Returns (item_a, item_b) pairs sorted by the
+    a-side timestamp.
     """
-    if key is None:
-        key = _default_time_key
-    ta = [key(x) for x in stream_a]
-    tb = [key(x) for x in stream_b]
+    ta = [_time_key(x) for x in stream_a]
+    tb = [_time_key(x) for x in stream_b]
     for name, ts in (("stream_a", ta), ("stream_b", tb)):
         if any(t2 < t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError(f"{name} is not sorted by timestamp")
@@ -207,15 +181,6 @@ def dbscan(xyz, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def denoise(points: list[RadarPoint], eps: float, min_pts: int) -> list[RadarPoint]:
-    """Drop points DBSCAN labels as noise; keeps the input order."""
-    if not points:
-        return []
-    xyz = np.stack([p.xyz for p in points])
-    labels = dbscan(xyz, eps, min_pts)
-    return [p for p, lab in zip(points, labels) if lab != -1]
-
-
 def snr_bounds(records) -> tuple[float, float]:
     """Min/max SNR over every point of a record list (the training split)."""
     values = [p[4] for rec in records for p in rec["points"]]
@@ -248,14 +213,10 @@ def normalize_snr(records, bounds: tuple[float, float] | None = None):
 
 
 def _points_array(points) -> np.ndarray:
-    """(N, 5) float array [x, y, z, v, snr] from RadarPoints or raw rows."""
+    """(N, 5) float array [x, y, z, v, snr] of a fused frame or of raw rows."""
     if isinstance(points, FusedFrame):
         points = points.points
-    if len(points) == 0:
-        return np.zeros((0, 5))
-    if isinstance(points[0], RadarPoint):
-        return np.array([[*p.xyz, p.velocity, p.snr] for p in points], dtype=float)
-    return np.asarray(points, dtype=float).reshape(len(points), 5)
+    return np.asarray(points, dtype=float).reshape(-1, 5)
 
 
 def canonical_order(arr: np.ndarray) -> np.ndarray:
@@ -291,9 +252,8 @@ def build_cloud(frame, n_max: int) -> np.ndarray:
 
 
 def _transform_record_points(rec: dict, pose: RadarPose) -> np.ndarray:
-    pts = np.asarray(rec["points"], dtype=float).reshape(len(rec["points"]), 5)
-    if len(pts):
-        pts[:, :3] = transform_to_world(pts[:, :3], pose)
+    pts = _points_array(rec["points"])
+    pts[:, :3] = transform_to_world(pts[:, :3], pose)
     return pts
 
 

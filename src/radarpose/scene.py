@@ -432,13 +432,12 @@ def generate_dataset(
                 raw = synthesize_frame(
                     reflectors, chirp_cfg, seed=_noise_seed(cfg.seed, frame_id, radar_id), timestamp_ms=t_ms
                 )
-                points = detections_to_points(detect_points(raw, threshold_db), t_ms)
                 records.append(
                     make_record(
                         frame_id=frame_id,
                         t_ms=t_ms,
                         radar_id=radar_id,
-                        points=[[*p.xyz, p.velocity, p.snr] for p in points],
+                        points=detections_to_points(detect_points(raw, threshold_db)),
                         gt=pose.joints.tolist(),
                         action=action,
                         subject=subject,

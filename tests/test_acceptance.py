@@ -35,13 +35,11 @@ from radarpose.physics import (
     velocity_from_phase,
 )
 from radarpose.pointcloud import (
-    RadarPoint,
     RadarPose,
     build_views,
     dbscan,
     fuse_records,
     normalize_snr,
-    radar_to_world,
     transform_to_world,
 )
 from radarpose.scene import MotionConfig, generate_dataset
@@ -163,8 +161,8 @@ def test_acceptance_rigid_transform():
     dist_err = float(np.max(np.abs(np.linalg.norm(wa - wb, axis=1) - np.linalg.norm(a - b, axis=1))))
 
     mounted = RadarPose(height_m=2.0, tilt_down_rad=math.radians(20.0))
-    worked = radar_to_world(RadarPoint(xyz=[0.0, 2.0, 0.0], velocity=0.0, snr=0.0), mounted)
-    example_err = float(np.max(np.abs(worked.xyz - np.array([0.0, 1.8794, 1.3160]))))
+    (worked,) = transform_to_world(np.array([[0.0, 2.0, 0.0]]), mounted)
+    example_err = float(np.max(np.abs(worked - np.array([0.0, 1.8794, 1.3160]))))
 
     ok = dist_err <= 1e-9 and example_err <= 1e-4
     _gate(
@@ -206,15 +204,12 @@ def test_acceptance_order_invariance():
                 shuffled = (inputs[0][:, perm, :], inputs[1][:, perm, :])
             worst = max(worst, float(np.max(np.abs(forward(cfg, mp, shuffled) - ref))))
 
-    pts = [
-        RadarPoint(xyz=rng.uniform(-1, 3, 3), velocity=float(rng.normal()), snr=float(rng.uniform()))
-        for _ in range(20)
-    ]
+    pts = np.array([[*rng.uniform(-1, 3, 3), rng.normal(), rng.uniform()] for _ in range(20)])
     ref_views = build_views(pts, n_max=32)
     views_exact = True
     for _ in range(50):
         perm = rng.permutation(len(pts))
-        vp = build_views([pts[i] for i in perm], n_max=32)
+        vp = build_views(pts[perm], n_max=32)
         if not (np.array_equal(vp.view_xy, ref_views.view_xy) and np.array_equal(vp.view_yz, ref_views.view_yz)):
             views_exact = False
     ok = worst <= 1e-6 and views_exact
@@ -233,7 +228,7 @@ def _ten_fused_frames():
     )
     fused, _ = normalize_snr(fuse_records(records))
     frames = frames_from_records(fused)
-    assert len(frames) == 10 and all(f.points for f in frames)
+    assert len(frames) == 10 and all(len(f.points) for f in frames)
     return frames
 
 

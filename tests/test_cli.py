@@ -1,10 +1,14 @@
+import argparse
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from radarpose import cli
 from radarpose.cli import main, parse_config_file
-from radarpose.model import load_checkpoint
+from radarpose.model import ModelConfig, load_checkpoint
 from radarpose.records import read_jsonl
+from radarpose.scene import ACTIONS
 
 
 def test_parse_config_file(tmp_path):
@@ -145,3 +149,202 @@ def test_ablate_cli_smoke(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mean-pose baseline" in printed
     assert "split digest" in printed
+
+
+# ---------------------------------------------------------------------------
+# the CLI surface: flags, config keys and resolved defaults
+# ---------------------------------------------------------------------------
+
+# subcommand -> dest (= config key) -> (flag, default, config text, value it yields)
+SURFACE = {
+    "simulate": {
+        "actions": ("--actions", ACTIONS, "walk_away,swing_left", ("walk_away", "swing_left")),
+        "frames": ("--frames", 200, "7", 7),
+        "fps": ("--fps", 20.0, "5", 5.0),
+        "duration": ("--duration", 3.0, "1.5", 1.5),
+        "walk_speed": ("--walk-speed", 0.5, "0.25", 0.25),
+        "radars": ("--radars", 2, "1", 1),
+        "subjects": ("--subjects", (0, 1), "1", (1,)),
+        "seed": ("--seed", 42, "9", 9),
+        "noise_std": ("--noise-std", 0.3, "0.1", 0.1),
+        "threshold_db": ("--threshold-db", 8.0, "6.5", 6.5),
+        "density": ("--density", 4, "2", 2),
+        "out": ("--out", "dataset.jsonl", "x.jsonl", "x.jsonl"),
+    },
+    "preprocess": {
+        "input": ("--in", "dataset.jsonl", "in.jsonl", "in.jsonl"),
+        "out": ("--out", "fused.jsonl", "o.jsonl", "o.jsonl"),
+        "eps": ("--eps", 0.4, "0.5", 0.5),
+        "min_pts": ("--min-pts", 3, "2", 2),
+        "window_ms": ("--window-ms", 50.0, "40", 40.0),
+        "n_max": ("--n-max", 64, "16", 16),
+        "radars": ("--radars", (0, 1), "0", (0,)),
+        # observed as the SNR bounds the file holds
+        "snr_meta": ("--snr-meta", None, "meta.json", (1.0, 2.0)),
+    },
+    "train": {
+        "data": ("--data", "fused.jsonl", "d.jsonl", "d.jsonl"),
+        "variant": ("--variant", "dual_cnn", "dual_mlp", "dual_mlp"),
+        "lr": ("--lr", 1e-3, "0.01", 0.01),
+        "batch": ("--batch", 32, "8", 8),
+        "epochs": ("--epochs", 30, "2", 2),
+        "seed": ("--seed", 0, "3", 3),
+        "val_fraction": ("--val-fraction", 0.2, "0.5", 0.5),
+        "stop_loss": ("--stop-loss", None, "0.01", 0.01),
+        "n_max": ("--n-max", None, "16", 16),
+        "checkpoint": ("--checkpoint", "checkpoint.json", "c.json", "c.json"),
+        "loss_svg": ("--loss-svg", None, "l.svg", "l.svg"),
+    },
+    "eval": {
+        "checkpoint": ("--checkpoint", "checkpoint.json", "c.json", "c.json"),
+        "test": ("--test", "fused_test.jsonl", "t.jsonl", "t.jsonl"),
+        "report": ("--report", None, "r.csv", "r.csv"),
+    },
+    "ablate": {
+        "out_csv": ("--out-csv", "ablation.csv", "a.csv", "a.csv"),
+        "workdir": ("--workdir", "ablation_work", "w", "w"),
+        "frames": ("--frames", 2000, "24", 24),
+        "test_frames": ("--test-frames", 500, "16", 16),
+        "seed": ("--seed", 42, "2", 2),
+        "epochs": ("--epochs", 12, "1", 1),
+        "lr": ("--lr", 1e-3, "0.01", 0.01),
+        "batch": ("--batch", 32, "8", 8),
+        "train_seed": ("--train-seed", 0, "4", 4),
+        "n_max": ("--n-max", 64, "16", 16),
+        "eps": ("--eps", 0.4, "0.5", 0.5),
+        "min_pts": ("--min-pts", 3, "2", 2),
+        "window_ms": ("--window-ms", 50.0, "40", 40.0),
+        "noise_std": ("--noise-std", 0.3, "0.1", 0.1),
+        "threshold_db": ("--threshold-db", 8.0, "6.5", 6.5),
+        "fps": ("--fps", 20.0, "5", 5.0),
+        "duration": ("--duration", 3.0, "0.75", 0.75),
+        "keep_files": ("--keep-files", True, "false", False),
+    },
+    "gradcheck": {
+        "seed": ("--seed", 0, "5", 5),
+        "tolerance": ("--tolerance", 1e-4, "0.001", 1e-3),
+    },
+}
+
+
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _spy(seen, returns=None, **names):
+    """A stand-in that records its arguments under ``names`` (name -> getter)."""
+
+    def fake(*args, **kwargs):
+        for key, get in names.items():
+            seen[key] = get(*args, **kwargs)
+        return returns() if callable(returns) else returns
+
+    return fake
+
+
+def _observe(monkeypatch, command, argv):
+    """Run one subcommand with its work stubbed out; the option values it used."""
+    seen = {}
+    patch = lambda name, fake: monkeypatch.setattr(cli, name, fake)  # noqa: E731
+    if command == "simulate":
+        def generate(actions, motion, radar_poses, chirp_cfg, out_path, n_frames, subjects, density, threshold_db):
+            seen.update(
+                actions=tuple(actions), fps=motion.fps, duration=motion.duration_s,
+                walk_speed=motion.walk_speed, seed=motion.seed, radars=len(radar_poses),
+                noise_std=chirp_cfg.noise_std, out=out_path, frames=n_frames,
+                subjects=tuple(subjects), density=density, threshold_db=threshold_db,
+            )
+            return []
+        patch("generate_dataset", generate)
+    elif command == "preprocess":
+        patch("read_jsonl", _spy(seen, [], input=lambda path: path))
+        patch("fuse_records", _spy(
+            seen, [], radars=lambda recs, radar_ids, window_ms, eps, min_pts: tuple(radar_ids),
+            window_ms=lambda *a, window_ms, **k: window_ms,
+            eps=lambda *a, eps, **k: eps, min_pts=lambda *a, min_pts, **k: min_pts,
+        ))
+        patch("normalize_snr", _spy(seen, ([], (0.0, 1.0)), snr_meta=lambda recs, bounds: bounds))
+        patch("write_jsonl", _spy(seen, out=lambda path, recs: path))
+    elif command == "train":
+        history = [{"train_loss": 0.0, "val_loss": 0.0}]
+        patch("_load_examples", _spy(seen, ([0], 64, None), data=lambda p, n: p, n_max=lambda p, n: n))
+        patch("train_model", _spy(
+            seen, lambda: (SimpleNamespace(), history),
+            variant=lambda cfg, ex, h: cfg.variant, seed=lambda cfg, ex, h: (cfg.seed, h.seed),
+            lr=lambda c, e, h: h.lr, batch=lambda c, e, h: h.batch, epochs=lambda c, e, h: h.epochs,
+            val_fraction=lambda c, e, h: h.val_fraction, stop_loss=lambda c, e, h: h.stop_loss,
+        ))
+        patch("save_checkpoint", _spy(seen, checkpoint=lambda params, path: path))
+        patch("loss_curve_svg", _spy(seen, loss_svg=lambda hist, path: path))
+        seen["loss_svg"] = None
+    elif command == "eval":
+        patch("load_checkpoint", _spy(seen, SimpleNamespace(config=ModelConfig()), checkpoint=lambda p: p))
+        patch("read_jsonl", _spy(seen, [], test=lambda p: p))
+        patch("frames_from_records", _spy(seen, []))
+        for name in ("examples_from_frames", "predict_batch", "evaluate", "per_joint_csv"):
+            patch(name, _spy(seen))
+        patch("report_to_csv", _spy(seen, "", report=lambda rep, path, js: path))
+    elif command == "ablate":
+        fields = {
+            "workdir": "workdir", "frames": "n_train", "test_frames": "n_test", "seed": "seed",
+            "epochs": "epochs", "lr": "lr", "batch": "batch", "train_seed": "train_seed",
+            "n_max": "n_max", "eps": "eps", "min_pts": "min_pts", "window_ms": "window_ms",
+            "noise_std": "noise_std", "threshold_db": "threshold_db", "fps": "fps",
+            "duration": "duration_s", "keep_files": "keep_files",
+        }
+        report = SimpleNamespace(rows=[], baseline=None, split_digests={})
+        patch("run_ablation", _spy(seen, report, **{
+            key: (lambda field: lambda cfg: getattr(cfg, field))(field) for key, field in fields.items()
+        }))
+        patch("report_to_csv", _spy(seen, "", out_csv=lambda rep, path: path))
+        patch("per_joint_csv", _spy(seen))
+    elif command == "gradcheck":
+        patch("run_gradient_checks", _spy(
+            seen, [], seed=lambda seeds, rtol: seeds[0], tolerance=lambda seeds, rtol: rtol,
+        ))
+    assert cli.main([command, *argv]) == 0
+    if command == "preprocess":
+        seen["n_max"] = json.loads(open(str(seen["out"]) + ".meta.json").read())["n_max"]
+    if command == "train":
+        seeds = seen.pop("seed")
+        assert seeds[0] == seeds[1]
+        seen["seed"] = seeds[0]
+    return seen
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_surface_flags(command):
+    parser = _subparsers()[command]
+    flags = {
+        a.dest: a.option_strings[0]
+        for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    assert flags == {dest: entry[0] for dest, entry in SURFACE[command].items()}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_surface_defaults(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seen = _observe(monkeypatch, command, [])
+    assert seen == {dest: entry[1] for dest, entry in SURFACE[command].items()}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_surface_config_keys(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "meta.json").write_text(json.dumps({"snr_min": 1.0, "snr_max": 2.0}))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{dest} = {entry[2]}\n" for dest, entry in SURFACE[command].items()))
+    seen = _observe(monkeypatch, command, ["--config", str(cfg)])
+    assert seen == {dest: entry[3] for dest, entry in SURFACE[command].items()}
+
+
+def test_config_value_checked_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"radars = 3\nframes = 2\nout = {tmp_path / 'out.jsonl'}\n")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--config", str(cfg)])
+    assert "--radars" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()

@@ -154,14 +154,14 @@ def test_detection_requires_positive_range_and_finite_snr():
 def test_detections_to_points_boresight():
     det = Detection(range_m=2.0, radial_velocity=0.3, azimuth_rad=0.0, elevation_rad=0.0, snr_db=20.0)
     (p,) = detections_to_points([det])
-    np.testing.assert_allclose(p.xyz, [0.0, 2.0, 0.0], atol=1e-12)
-    assert p.velocity == 0.3 and p.snr == 20.0
+    np.testing.assert_allclose(p[:3], [0.0, 2.0, 0.0], atol=1e-12)
+    assert p[3] == 0.3 and p[4] == 20.0
 
 
 def test_detections_to_points_hand_trigonometry():
     det = Detection(range_m=2.0, radial_velocity=0.0, azimuth_rad=math.radians(30), elevation_rad=0.0, snr_db=0.0)
     (p,) = detections_to_points([det])
-    np.testing.assert_allclose(p.xyz, [1.0, math.sqrt(3.0), 0.0], atol=1e-9)
+    np.testing.assert_allclose(p[:3], [1.0, math.sqrt(3.0), 0.0], atol=1e-9)
 
 
 def test_detections_to_points_inverse_transform_oracle():
@@ -176,9 +176,9 @@ def test_detections_to_points_inverse_transform_oracle():
         )
         (p,) = detections_to_points([det])
         # independent spherical reconstruction
-        r = float(np.linalg.norm(p.xyz))
-        az = math.atan2(p.xyz[0], p.xyz[1])
-        el = math.asin(p.xyz[2] / r)
+        r = float(np.linalg.norm(p[:3]))
+        az = math.atan2(p[0], p[1])
+        el = math.asin(p[2] / r)
         assert r == pytest.approx(det.range_m, abs=1e-9)
         assert az == pytest.approx(det.azimuth_rad, abs=1e-9)
         assert el == pytest.approx(det.elevation_rad, abs=1e-9)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -168,7 +170,30 @@ def test_frames_from_records_roundtrip():
     assert frame.action == "swing_left"
     assert frame.gt.swing_state == gt.swing_state
     np.testing.assert_allclose(frame.gt.joints, gt.joints)
-    assert frame.points[0].snr == 0.7
+    assert frame.points.shape == (1, 5)
+    assert frame.points[0, 4] == 0.7
+
+
+def _fused_record(frame_id, points, fused=True):
+    gt = pose_at("walk_toward", 0.0, MotionConfig(seed=7))
+    return make_record(
+        frame_id=frame_id, t_ms=0, radar_id=-1, points=points, gt=gt.joints.tolist(),
+        action="walk_toward", subject=0, swing_state="none", fused=fused,
+    )
+
+
+def test_frames_from_records_rejects_raw_records():
+    good = _fused_record(1, [[0.1, 2.0, 1.0, -0.2, 0.7]])
+    raw = _fused_record(8, [[0.1, 2.0, 1.0, -0.2, 17.0]], fused=False)
+    with pytest.raises(ValueError, match="frame 8: not a fused record"):
+        frames_from_records([good, raw])
+
+
+def test_frames_from_records_rejects_nonfinite_points():
+    for bad in (math.nan, math.inf, -math.inf):
+        rec = _fused_record(5, [[0.1, 2.0, 1.0, -0.2, 0.7], [0.0, 2.0, bad, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="frame 5: non-finite"):
+            frames_from_records([rec])
 
 
 def test_loss_curve_svg(tmp_path):

@@ -17,7 +17,7 @@ from radarpose.model import (
     tnet_forward,
     train,
 )
-from radarpose.pointcloud import FusedFrame, RadarPoint
+from radarpose.pointcloud import FusedFrame
 from radarpose.scene import JOINT_NAMES
 
 
@@ -270,9 +270,7 @@ def test_predict_reports_absent_joints():
     cfg = toy_config("dual_cnn", seed=16)
     mp = init_params(cfg)
     mp.gt_min, mp.gt_max = np.zeros(3), np.ones(3)
-    frame = FusedFrame(
-        points=[RadarPoint(xyz=[0, 2, 1], velocity=0.0, snr=0.5)], timestamp_ms=0
-    )
+    frame = FusedFrame(points=np.array([[0.0, 2.0, 1.0, 0.0, 0.5]]), timestamp_ms=0)
     est = predict(mp, frame)
     assert set(est.absent) == set(cfg.excluded_joints)
     for name in est.absent:

@@ -5,20 +5,16 @@ import pytest
 
 from radarpose.pointcloud import (
     FusedFrame,
-    RadarPoint,
     RadarPose,
     align_streams,
     build_cloud,
     build_views,
     canonical_order,
     dbscan,
-    denoise,
     fuse_records,
     normalize_snr,
-    radar_to_world,
     transform_to_radar,
     transform_to_world,
-    world_to_radar,
 )
 from radarpose.records import make_record
 
@@ -108,21 +104,30 @@ def random_instance(rng, n_max=200):
 # rigid transform
 # ---------------------------------------------------------------------------
 
+def _fused_rows(rows, pose, eps=0.3, min_pts=4):
+    """(N, 5) points the single-radar fusion keeps of one record mounted at ``pose``."""
+    rec = make_record(0, 0, 0, rows, [[0.0, 0.0, 0.0]] * 32, "walk_toward", 0, "none")
+    (fused,) = fuse_records([rec], poses=(pose,), radar_ids=(0,), eps=eps, min_pts=min_pts)
+    return np.array(fused["points"]).reshape(-1, 5)
+
+
+IDENTITY_POSE = RadarPose(height_m=0.0, tilt_down_rad=0.0)
+
+
 def test_radar_to_world_identity_pose():
-    pose = RadarPose(height_m=0.0, tilt_down_rad=0.0)
-    p = RadarPoint(xyz=[0.3, 2.0, -0.1], velocity=0.5, snr=10.0)
-    q = radar_to_world(p, pose)
-    np.testing.assert_allclose(q.xyz, p.xyz, atol=1e-15)
-    assert q.velocity == p.velocity and q.snr == p.snr
+    p = np.array([0.3, 2.0, -0.1, 0.5, 10.0])
+    (q,) = _fused_rows([p], IDENTITY_POSE, min_pts=1)
+    np.testing.assert_allclose(q[:3], p[:3], atol=1e-15)
+    assert q[3] == p[3] and q[4] == p[4]
 
 
 def test_radar_to_world_worked_example():
     # boresight point 2 m ahead of a radar mounted at 2 m, tilted 20 deg down
     pose = RadarPose(height_m=2.0, tilt_down_rad=math.radians(20.0))
-    q = radar_to_world(RadarPoint(xyz=[0.0, 2.0, 0.0], velocity=0.0, snr=0.0), pose)
+    (q,) = transform_to_world(np.array([[0.0, 2.0, 0.0]]), pose)
     # oracle: (0, 2 cos 20, 2 - 2 sin 20)
-    np.testing.assert_allclose(q.xyz, [0.0, 2 * math.cos(math.radians(20)), 2 - 2 * math.sin(math.radians(20))], atol=1e-12)
-    np.testing.assert_allclose(q.xyz, [0.0, 1.8794, 1.3160], atol=1e-4)
+    np.testing.assert_allclose(q, [0.0, 2 * math.cos(math.radians(20)), 2 - 2 * math.sin(math.radians(20))], atol=1e-12)
+    np.testing.assert_allclose(q, [0.0, 1.8794, 1.3160], atol=1e-4)
 
 
 def test_transform_is_rigid_and_invertible():
@@ -139,14 +144,9 @@ def test_transform_is_rigid_and_invertible():
 
 def test_world_to_radar_roundtrip_single_point():
     pose = RadarPose(height_m=1.0, tilt_down_rad=math.radians(15.0))
-    p = RadarPoint(xyz=[0.2, 2.5, 0.3], velocity=-0.4, snr=17.0)
-    back = world_to_radar(radar_to_world(p, pose), pose)
-    np.testing.assert_allclose(back.xyz, p.xyz, atol=1e-12)
-
-
-def test_radar_point_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        RadarPoint(xyz=[np.nan, 0, 0], velocity=0.0, snr=0.0)
+    p = np.array([[0.2, 2.5, 0.3]])
+    back = transform_to_radar(transform_to_world(p, pose), pose)
+    np.testing.assert_allclose(back, p, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_align_on_records():
 
 
 # ---------------------------------------------------------------------------
-# dbscan / denoise
+# dbscan / denoising
 # ---------------------------------------------------------------------------
 
 def test_dbscan_empty():
@@ -244,14 +244,15 @@ def test_dbscan_validates_parameters():
 
 
 def _points_from(arr):
-    return [RadarPoint(xyz=row[:3], velocity=0.0, snr=5.0) for row in np.atleast_2d(arr)]
+    arr = np.atleast_2d(arr)
+    return np.column_stack([arr, np.zeros(len(arr)), np.full(len(arr), 5.0)])
 
 
 def test_denoise_keeps_dense_cluster():
     rng = np.random.default_rng(5)
     pts = _points_from(rng.normal(0, 0.05, size=(15, 3)))
-    kept = denoise(pts, eps=0.3, min_pts=4)
-    assert kept == pts
+    kept = _fused_rows(pts, IDENTITY_POSE)
+    assert np.array_equal(kept, pts)
 
 
 def test_denoise_removes_scattered_points():
@@ -259,9 +260,9 @@ def test_denoise_removes_scattered_points():
     cluster = rng.normal(0, 0.05, size=(15, 3))
     far = np.array([[5, 5, 5], [-5, 4, 0], [6, -6, 1], [0, 9, 9], [-7, -7, -7]], dtype=float)
     pts = _points_from(np.vstack([cluster, far]))
-    kept = denoise(pts, eps=0.3, min_pts=4)
-    assert kept == pts[:15]
-    assert denoise([], eps=0.3, min_pts=4) == []
+    kept = _fused_rows(pts, IDENTITY_POSE)
+    assert np.array_equal(kept, pts[:15])
+    assert _fused_rows([], IDENTITY_POSE).shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +303,14 @@ def test_build_views_empty_frame():
 
 
 def test_build_views_truncates_to_nearest():
-    pts = [RadarPoint(xyz=[0.0, float(r), 0.0], velocity=0.1, snr=0.5) for r in (6, 2, 4, 1, 5, 3)]
+    pts = np.array([[0.0, float(r), 0.0, 0.1, 0.5] for r in (6, 2, 4, 1, 5, 3)])
     vp = build_views(pts, n_max=4)
     assert vp.pad_count == 0
     np.testing.assert_allclose(vp.view_xy[:, 1], [1, 2, 3, 4])
 
 
 def test_build_views_feature_layout():
-    pts = [RadarPoint(xyz=[0.5, 2.0, 1.5], velocity=-0.3, snr=0.7)]
+    pts = np.array([[0.5, 2.0, 1.5, -0.3, 0.7]])
     vp = build_views(pts, n_max=2)
     np.testing.assert_allclose(vp.view_xy[0], [0.5, 2.0, -0.3, 0.7])
     np.testing.assert_allclose(vp.view_yz[0], [2.0, 1.5, -0.3, 0.7])
@@ -318,20 +319,17 @@ def test_build_views_feature_layout():
 
 def test_build_views_exactly_permutation_invariant():
     rng = np.random.default_rng(9)
-    pts = [
-        RadarPoint(xyz=rng.uniform(-1, 3, 3), velocity=float(rng.normal()), snr=float(rng.uniform()))
-        for _ in range(12)
-    ]
+    pts = np.array([[*rng.uniform(-1, 3, 3), rng.normal(), rng.uniform()] for _ in range(12)])
     ref = build_views(pts, n_max=16)
     for _ in range(10):
         perm = rng.permutation(len(pts))
-        vp = build_views([pts[i] for i in perm], n_max=16)
+        vp = build_views(pts[perm], n_max=16)
         assert np.array_equal(vp.view_xy, ref.view_xy)
         assert np.array_equal(vp.view_yz, ref.view_yz)
 
 
 def test_build_cloud_matches_view_order():
-    pts = [RadarPoint(xyz=[0.0, float(r), 0.2], velocity=0.0, snr=0.1) for r in (3, 1, 2)]
+    pts = np.array([[0.0, float(r), 0.2, 0.0, 0.1] for r in (3, 1, 2)])
     cloud = build_cloud(pts, n_max=4)
     np.testing.assert_allclose(cloud[:3, 1], [1, 2, 3])
     assert not cloud[3].any()
