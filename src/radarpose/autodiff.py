@@ -9,6 +9,10 @@ Conventions that the gradient checks rely on:
   * everything is float64
   * ReLU subgradient at 0 is 0
   * max/pool ties route the gradient to the first (lowest-index) maximum
+
+The backward sweep allocates no zero gradients: a node takes its first
+incoming gradient as is and sums later ones out of place. A ``.grad`` may
+therefore be a view of another node's gradient; treat it as read-only.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Array node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=float)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
 
@@ -131,14 +134,15 @@ class Tensor:
                 stack.append((p, False))
 
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
             for parent, g in zip(node._parents, grads):
-                parent.grad = parent.grad + g
+                # out of place: closures may hand back views of one another
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -198,14 +202,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(batch * h * wd, c_out)
         gw = (g2.T @ cols).reshape(w.data.shape)
         gb = g2.sum(axis=0)
-        gwin = (g2 @ wmat).reshape(batch, h, wd, c_in, kh, kw)
-        gx_p = np.zeros_like(xp)
+        # col2im with W and H swapped, so that each of the kh x kw adds runs
+        # over the long H axis; every element sums in the same (di, dj) order
+        gwin = (g2 @ wmat).reshape(batch, h, wd, c_in, kh, kw).transpose(4, 5, 0, 3, 2, 1)
+        gx_t = np.zeros((batch, c_in, wd + 2 * pw, h + 2 * ph))
         for di in range(kh):
             for dj in range(kw):
-                gx_p[:, :, di : di + h, dj : dj + wd] += gwin[:, :, :, :, di, dj].transpose(
-                    0, 3, 1, 2
-                )
-        return gx_p[:, :, ph : ph + h, pw : pw + wd], gw, gb
+                gx_t[:, :, dj : dj + wd, di : di + h] += gwin[di, dj]
+        return gx_t[:, :, pw : pw + wd, ph : ph + h].transpose(0, 1, 3, 2), gw, gb
 
     out._backward = backward
     return out

@@ -54,7 +54,7 @@ def _compare(name, analytic: dict, numeric: dict, rtol, atol) -> CheckResult:
 
 def check_function(name, build, arrays: dict, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, h=DEFAULT_H) -> CheckResult:
     """``build(tensors: dict) -> scalar Tensor``; checks grads w.r.t. every array."""
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    tensors = {k: Tensor(v) for k, v in arrays.items()}
     loss = build(tensors)
     loss.backward()
     analytic = {k: t.grad.copy() for k, t in tensors.items()}

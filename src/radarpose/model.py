@@ -11,8 +11,10 @@ included joints):
   * ``single_pointnet``- one xyz cloud: TNet(3), shared row MLP, global
                          max pool, MLP head
 
-All parameters live in a flat name -> float64 array dict, so the whole
-model is one checkpointable, finite-difference-checkable object.
+All parameters live in a name -> float64 array dict, so the whole model is
+one checkpointable, finite-difference-checkable object. During training the
+arrays are reshaped views of one contiguous vector, which Adam updates in
+place together with flat gradient and moment vectors.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def _forward_graph(cfg: ModelConfig, pt: dict, inputs: dict) -> Tensor:
 
 
 def _wrap_params(params: dict) -> dict:
-    return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    return {k: Tensor(v) for k, v in params.items()}
 
 
 def _prepare_inputs(cfg: ModelConfig, inputs) -> tuple[dict, bool]:
@@ -386,17 +388,44 @@ def target_bounds(cfg: ModelConfig, gt: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _adam_step(params: dict, grads: dict, state: dict, lr: float, t: int,
+def _flatten(params: dict) -> tuple[np.ndarray, dict]:
+    """Copy ``params`` into one contiguous vector, in dict order; return it
+    and a dict of views into it with the original names and shapes."""
+    flat = np.concatenate([v.ravel() for v in params.values()])
+    views, start = {}, 0
+    for k, v in params.items():
+        views[k] = flat[start : start + v.size].reshape(v.shape)
+        start += v.size
+    return flat, views
+
+
+def _adam_step(p: np.ndarray, g: np.ndarray, state: tuple, lr: float, t: int,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    for k, p in params.items():
-        g = grads[k]
-        m, v = state[k]
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        state[k] = (m, v)
-        mhat = m / (1 - beta1**t)
-        vhat = v / (1 - beta2**t)
-        params[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
+    """One Adam update (Kingma & Ba, arXiv:1412.6980) of the flat vector ``p``, in place.
+
+    ``state`` is (m, v, work, work2): both moments and two scratch vectors,
+    all shaped like ``p``. The ops run in the order of the per-array form
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+
+    so every value is bitwise equal to it, without its temporaries.
+    """
+    m, v, work, work2 = state
+    m *= beta1
+    np.multiply(g, 1 - beta1, out=work)
+    m += work
+    v *= beta2
+    np.multiply(g, 1 - beta2, out=work)
+    work *= g
+    v += work
+    np.divide(m, 1 - beta1**t, out=work)
+    np.divide(v, 1 - beta2**t, out=work2)
+    np.sqrt(work2, out=work2)
+    work2 += eps
+    work *= lr
+    work /= work2
+    p -= work
 
 
 def _split(rng: np.random.Generator, n: int, val_fraction: float):
@@ -420,7 +449,8 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
     Splits ``examples`` into train/validation (``hyper.val_fraction``),
     derives the ground-truth normalization from the training part only, and
     returns (params, history) where history holds one
-    {epoch, train_loss, val_loss} entry per epoch.
+    {epoch, train_loss, val_loss} entry per epoch. A non-finite batch loss
+    or gradient raises ``ValueError`` before it reaches the optimizer state.
     """
     n = len(examples)
     if n == 0:
@@ -436,7 +466,9 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
 
     mp = init_params(cfg)
     mp.gt_min, mp.gt_max = gt_min, gt_max
-    state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in mp.params.items()}
+    flat, mp.params = _flatten(mp.params)
+    grad = np.empty_like(flat)
+    state = tuple(np.zeros_like(flat) for _ in range(4))
 
     history = []
     step = 0
@@ -448,7 +480,16 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
             idx = shuffled[start : start + hyper.batch]
             loss, grads = backward(cfg, mp, examples.inputs_for(cfg, idx), targets[idx])
             step += 1
-            _adam_step(mp.params, grads, state, lr, step)
+            np.concatenate([grads[k].ravel() for k in mp.params], out=grad)
+            # a NaN input can leave the loss finite (ReLU zeroes it) yet reach
+            # the gradient; either one would poison the Adam moments for good
+            sq_norm = float(grad @ grad)
+            if not (math.isfinite(loss) and math.isfinite(sq_norm)):
+                raise ValueError(
+                    f"non-finite training step at epoch {epoch}, step {step}: "
+                    f"loss {loss}, squared gradient norm {sq_norm}"
+                )
+            _adam_step(flat, grad, state, lr, step)
             total += loss * len(idx)
             count += len(idx)
         train_loss = total / count
@@ -573,10 +614,21 @@ def load_checkpoint(path) -> ModelParams:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     cfg = _config_from_dict(doc["config"])
-    params = {
-        k: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
-        for k, spec in doc["params"].items()
-    }
+    stored = doc["params"]
+    params = {}
+    for k, ref in init_params(cfg).params.items():
+        if k not in stored:
+            raise ValueError(f"checkpoint {path} lacks parameter {k!r} that its config needs")
+        data = np.asarray(stored[k]["data"], dtype=float)
+        if tuple(stored[k]["shape"]) != ref.shape or data.size != ref.size:
+            raise ValueError(
+                f"checkpoint {path}: parameter {k!r} has shape {tuple(stored[k]['shape'])} "
+                f"with {data.size} values; its config needs {ref.shape}"
+            )
+        params[k] = data.reshape(ref.shape)
+    extra = [k for k in stored if k not in params]
+    if extra:
+        raise ValueError(f"checkpoint {path} has parameter {extra[0]!r} that its config does not define")
     norm = doc["norm"]
     return ModelParams(
         config=cfg,

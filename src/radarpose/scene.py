@@ -400,6 +400,9 @@ def generate_dataset(
     actions = list(actions)
     if not actions:
         raise ValueError("need at least one action")
+    subjects = list(subjects)
+    if not subjects:
+        raise ValueError("subjects is empty; need at least one subject")
     if len(radar_poses) < 1:
         raise ValueError("need at least one radar pose")
     if chirp_cfg is None:

@@ -21,7 +21,7 @@ def numgrad(f, x, h=1e-6):
 
 def check_grads(build, arrays, rtol=1e-6, atol=1e-9):
     """build(tensors...) -> scalar Tensor; compares backward vs numgrad."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tensors = [Tensor(a) for a in arrays]
     loss = build(*tensors)
     loss.backward()
     for t, a in zip(tensors, arrays):
@@ -100,6 +100,32 @@ def test_conv2d_grad():
     check_grads(lambda a, c, d: conv2d(a, c, d).mean(), [x, w, b], rtol=1e-5, atol=1e-8)
 
 
+def _col2im_loop_input_grad(g, x, w):
+    """The conv2d input gradient as a kh x kw loop over the (B, C, H, W) layout."""
+    batch, c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(batch * h * wd, c_out)
+    gwin = (g2 @ w.reshape(c_out, -1)).reshape(batch, h, wd, c_in, kh, kw)
+    gx_p = np.zeros((batch, c_in, h + 2 * ph, wd + 2 * pw))
+    for di in range(kh):
+        for dj in range(kw):
+            gx_p[:, :, di : di + h, dj : dj + wd] += gwin[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
+    return gx_p[:, :, ph : ph + h, pw : pw + wd]
+
+
+@pytest.mark.parametrize("shape, c_out", [((10, 1, 64, 4), 16), ((10, 16, 32, 2), 32)])
+def test_conv2d_input_grad_is_bitwise_the_col2im_loop(shape, c_out):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(c_out, shape[1], 3, 3))
+    out = conv2d(Tensor(x), Tensor(w), Tensor(rng.normal(size=c_out)))
+    g = rng.normal(size=out.shape)
+    gx, _, _ = out._backward(g)
+    assert gx.shape == shape
+    assert gx.tobytes() == _col2im_loop_input_grad(g, x, w).tobytes()
+
+
 def test_conv2d_same_padding_shape_and_validation():
     x = Tensor(np.zeros((1, 2, 8, 4)))
     w = Tensor(np.zeros((5, 2, 3, 3)))
@@ -134,7 +160,7 @@ def test_mse_shape_mismatch():
 
 def test_diamond_graph_accumulates():
     # y = x*x + x used twice: dy/dx = 2x + 1
-    x = Tensor(np.array([[3.0]]), requires_grad=True)
+    x = Tensor(np.array([[3.0]]))
     y = (x * x + x).mean()
     y.backward()
     np.testing.assert_allclose(x.grad, [[7.0]])

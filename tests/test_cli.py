@@ -53,6 +53,11 @@ def test_config_file_feeds_flags_and_cli_overrides(tmp_path):
     assert len(read_jsonl(out)) == 3  # CLI --frames beat the config file
 
 
+def test_simulate_rejects_empty_subjects(tmp_path):
+    with pytest.raises(ValueError, match="subjects"):
+        main(["simulate", "--frames", "2", "--subjects", "", "--out", str(tmp_path / "sim.jsonl")])
+
+
 def test_unknown_config_key_fails(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("no_such_flag = 1\n")

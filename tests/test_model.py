@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from radarpose.gradcheck import toy_config, variant_inputs
 from radarpose.model import (
     ExampleSet,
+    _adam_step,
+    _flatten,
     Hyper,
     ModelConfig,
     backward,
@@ -240,6 +244,53 @@ def test_train_rejects_empty_dataset():
         train(cfg, ex, Hyper())
 
 
+@pytest.mark.parametrize("field", ["view_xy", "gt"])
+def test_train_rejects_nonfinite_step(field):
+    # a NaN view row leaves the loss finite (ReLU zeroes it) but not the
+    # gradient; a NaN target makes the loss itself NaN
+    cfg = toy_config("dual_mlp", seed=20)
+    ex = toy_examples(np.random.default_rng(14), cfg, n_frames=8)
+    getattr(ex, field)[5, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite training step at epoch 0, step [12]:"):
+        train(cfg, ex, Hyper(lr=1e-3, batch=4, epochs=2, seed=0, val_fraction=0.0))
+
+
+def _per_array_adam(params, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one set of temporaries per array: the reference for the flat step."""
+    for k, p in params.items():
+        g = grads[k]
+        m, v = state[k]
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        state[k] = (m, v)
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        params[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_flat_adam_step_is_bitwise_the_per_array_update():
+    cfg = toy_config("dual_cnn", seed=19)
+    rng = np.random.default_rng(13)
+    inputs = variant_inputs(cfg, rng, batch=4)
+    gt = rng.uniform(size=(4, cfg.output_width))
+    ref = init_params(cfg)
+    ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.params.items()}
+    mp = init_params(cfg)
+    flat, mp.params = _flatten(mp.params)
+    state = tuple(np.zeros_like(flat) for _ in range(4))
+    for t in (1, 2, 3):
+        _, ref_grads = backward(cfg, ref, inputs, gt)
+        _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
+        _, grads = backward(cfg, mp, inputs, gt)
+        _adam_step(flat, np.concatenate([grads[k].ravel() for k in mp.params]), state, 3e-3, t)
+        assert mp.params.keys() == ref.params.keys()
+        for k, p in ref.params.items():
+            assert mp.params[k].tobytes() == p.tobytes(), k
+        for i in (0, 1):
+            ref_moment = np.concatenate([ref_state[k][i].ravel() for k in ref.params])
+            assert state[i].tobytes() == ref_moment.tobytes()
+
+
 def test_train_stop_loss_cuts_history():
     cfg = toy_config("dual_mlp", seed=14)
     ex = toy_examples(np.random.default_rng(10), cfg, n_frames=6)
@@ -322,3 +373,25 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(toy_config("dual_cnn", seed=21)), path)
+    doc = json.loads(path.read_text())
+
+    def load_edited(edit):
+        bad = json.loads(json.dumps(doc))
+        edit(bad["params"])
+        path.write_text(json.dumps(bad))
+        return load_checkpoint(path)
+
+    def reshape(params):
+        params["xy.conv1.w"]["shape"] = [2, 2, 1, 9]
+
+    with pytest.raises(ValueError, match=r"'xy\.conv1\.w' has shape \(2, 2, 1, 9\)"):
+        load_edited(reshape)
+    with pytest.raises(ValueError, match=r"lacks parameter 'head\.out\.b'"):
+        load_edited(lambda params: params.pop("head.out.b"))
+    with pytest.raises(ValueError, match=r"has parameter 'extra\.w' that its config does not define"):
+        load_edited(lambda params: params.update({"extra.w": {"shape": [1], "data": [0.0]}}))
