@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from radarpose.fmcw import Reflector, detect_points, range_spectrum, synthesize_frame
+from radarpose.fmcw import detect_points, range_spectrum, synthesize_frame
 from radarpose.physics import ChirpConfig
 
 
@@ -25,11 +25,12 @@ def show_spectrum(frame, n_bins=50):
         print(f"  bin {k:3d} |{bar:<40s}|{marker if spec[k] > 0.2 * top else ''}")
 
 
-targets = [
-    Reflector(position=[0.0, 1.50, 0.0], radial_velocity=-0.8, rcs_amplitude=1.0),
-    Reflector(position=[0.6, 2.30, 0.0], radial_velocity=0.0, rcs_amplitude=0.7),
-    Reflector(position=[-0.9, 1.80, 0.0], radial_velocity=1.2, rcs_amplitude=0.5),
-]
+# one row per reflector: [x, y, z] in the radar frame [m], radial velocity [m/s], amplitude
+targets = np.array([
+    [0.0, 1.50, 0.0, -0.8, 1.0],
+    [0.6, 2.30, 0.0, 0.0, 0.7],
+    [-0.9, 1.80, 0.0, 1.2, 0.5],
+])
 
 for noise in (0.0, 0.4):
     cfg = ChirpConfig(noise_std=noise)
@@ -46,7 +47,7 @@ for noise in (0.0, 0.4):
             f"   {math.degrees(d.azimuth_rad):+6.1f} deg   {d.snr_db:5.1f} dB"
         )
     print("ground truth:")
-    for t in targets:
-        r = float(np.linalg.norm(t.position))
-        az = math.degrees(math.atan2(t.position[0], t.position[1]))
-        print(f"   {r:5.2f} m   {t.radial_velocity:+5.2f} m/s   {az:+6.1f} deg   (amp {t.rcs_amplitude})")
+    for x, y, z, v, amp in targets.tolist():
+        r = math.sqrt(x * x + y * y + z * z)
+        az = math.degrees(math.atan2(x, y))
+        print(f"   {r:5.2f} m   {v:+5.2f} m/s   {az:+6.1f} deg   (amp {amp})")

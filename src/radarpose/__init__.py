@@ -7,7 +7,7 @@ finite-difference-verified gradient engine.
 """
 
 from .physics import ChirpConfig, SPEED_OF_LIGHT
-from .fmcw import Detection, RawFrame, Reflector, detect_points, detections_to_points, range_spectrum, synthesize_frame
+from .fmcw import Detection, RawFrame, detect_points, detections_to_points, range_spectrum, synthesize_frame
 from .pointcloud import (
     FusedFrame,
     RadarPose,

@@ -1,7 +1,10 @@
 """IF-signal synthesis and point-cloud recovery for a two-RX FMCW radar.
 
-A frame is synthesized as complex (I/Q) baseband: each reflector contributes
-one tone whose frequency encodes range, whose chirp-to-chirp phase step
+A frame is synthesized as complex (I/Q) baseband from reflectors given as
+an (R, 5) array of radar-frame rows ``[x, y, z, radial velocity, amplitude]``
+(the points layout, with amplitude where a point has SNR; radial velocity
+is the range rate, positive when receding). Each reflector contributes one
+tone whose frequency encodes range, whose chirp-to-chirp phase step
 encodes radial velocity, and whose RX-to-RX phase step encodes azimuth.
 Recovery inverts exactly those three observables: FFT peak bin, two-chirp
 phase difference, two-RX phase difference.
@@ -28,23 +31,6 @@ from .physics import (
 SNR_CAP_DB = 120.0
 
 DEFAULT_THRESHOLD_DB = 12.0
-
-
-@dataclass
-class Reflector:
-    """A point scatterer in the radar frame.
-
-    ``radial_velocity`` is the range rate [m/s]: positive when receding.
-    """
-
-    position: np.ndarray
-    radial_velocity: float = 0.0
-    rcs_amplitude: float = 1.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        if self.rcs_amplitude < 0:
-            raise ValueError("rcs_amplitude must be >= 0")
 
 
 @dataclass
@@ -79,48 +65,47 @@ class Detection:
 
 
 def synthesize_frame(
-    reflectors: list[Reflector],
+    reflectors: np.ndarray,
     cfg: ChirpConfig,
     seed: int,
     timestamp_ms: int = 0,
 ) -> RawFrame:
-    """Simulate the IF samples of one frame.
+    """Simulate the IF samples of one frame from (R, 5) reflector rows.
 
     Each sample is the coherent sum over reflectors of
     ``A * exp(i(2 pi f0 t + phi0 + chirp * dphi_vel + rx * dphi_az))``
     plus circular Gaussian noise of std ``cfg.noise_std``. Bit-identical
     for identical (reflectors, cfg, seed).
     """
-    n = cfg.n_samples
-    t = np.arange(n) / cfg.sample_rate_hz
-    chirp_idx = np.arange(cfg.n_chirps)
-    rx_idx = np.arange(2)
+    refl = np.asarray(reflectors, dtype=float)
+    if refl.ndim != 2 or refl.shape[1] != 5:
+        raise ValueError(f"reflectors must be an (R, 5) array, got shape {refl.shape}")
+    lam = cfg.wavelength_m
+    pos, amp = refl[:, :3], refl[:, 4]
+    # vecdot keeps np.linalg.norm's per-vector dot, so ranges match it bitwise
+    dist = np.sqrt(np.vecdot(pos, pos))
+    if np.any(dist <= 0):
+        raise ValueError("reflector at zero range")
+    if np.any(pos[:, 1] <= 0):
+        raise ValueError("reflectors must lie in the front half-space (y > 0)")
+    if np.any(amp < 0):
+        raise ValueError("reflector amplitude must be >= 0")
+    f0 = beat_frequency(dist, cfg.slope_hz_per_s)
+    phi0 = phase_at_range(dist, lam)
+    dphi_v = doppler_phase(refl[:, 3], cfg.chirp_time_s, lam)
+    # math.atan2, not np.arctan2, which differs from it in the last bit
+    theta = np.array([math.atan2(x, y) for x, y in pos[:, :2].tolist()])
+    dphi_a = azimuth_phase(theta, cfg.rx_spacing_m, lam)
 
-    samples = np.zeros((cfg.n_chirps, 2, n), dtype=complex)
-    if reflectors:
-        lam = cfg.wavelength_m
-        dist = np.array([float(np.linalg.norm(r.position)) for r in reflectors])
-        if np.any(dist <= 0):
-            raise ValueError("reflector at zero range")
-        if any(r.position[1] <= 0 for r in reflectors):
-            raise ValueError("reflectors must lie in the front half-space (y > 0)")
-        amp = np.array([r.rcs_amplitude for r in reflectors])
-        f0 = np.array([beat_frequency(d, cfg.slope_hz_per_s) for d in dist])
-        phi0 = np.array([phase_at_range(d, lam) for d in dist])
-        dphi_v = np.array(
-            [doppler_phase(r.radial_velocity, cfg.chirp_time_s, lam) for r in reflectors]
-        )
-        theta = np.array([math.atan2(r.position[0], r.position[1]) for r in reflectors])
-        dphi_a = np.array([azimuth_phase(th, cfg.rx_spacing_m, lam) for th in theta])
-
-        # phase[r, chirp, rx, sample]
-        phase = (
-            2.0 * math.pi * f0[:, None, None, None] * t[None, None, None, :]
-            + phi0[:, None, None, None]
-            + chirp_idx[None, :, None, None] * dphi_v[:, None, None, None]
-            + rx_idx[None, None, :, None] * dphi_a[:, None, None, None]
-        )
-        samples = np.sum(amp[:, None, None, None] * np.exp(1j * phase), axis=0)
+    t = np.arange(cfg.n_samples) / cfg.sample_rate_hz
+    # phase[r, chirp, rx, sample]; with no reflectors the sum is all zeros
+    phase = (
+        2.0 * math.pi * f0[:, None, None, None] * t[None, None, None, :]
+        + phi0[:, None, None, None]
+        + np.arange(cfg.n_chirps)[None, :, None, None] * dphi_v[:, None, None, None]
+        + np.arange(2)[None, None, :, None] * dphi_a[:, None, None, None]
+    )
+    samples = np.sum(amp[:, None, None, None] * np.exp(1j * phase), axis=0)
 
     if cfg.noise_std > 0:
         rng = np.random.default_rng(seed)
@@ -166,10 +151,10 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
     gate = floor * 10 ** (threshold_db / 10.0)
 
     lam = cfg.wavelength_m
+    inner = power[1:-1]
+    peaks = 1 + np.flatnonzero((inner > gate) & (inner > power[:-2]) & (inner >= power[2:]))
     detections = []
-    for k in range(1, cfg.n_samples - 1):
-        if not (power[k] > gate and power[k] > power[k - 1] and power[k] >= power[k + 1]):
-            continue
+    for k in peaks.tolist():
         rng_m = bin_to_range(cfg, k)
         dphi_v = float(np.angle(spec_c1_rx0[k] * np.conj(spec_c0_rx0[k])))
         vel = velocity_from_phase(dphi_v, cfg.chirp_time_s, lam)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .autodiff import Tensor, amax, concat, conv2d, maxpool2d, mse
-from .model import ModelConfig, Hyper, init_params
+from .model import ModelConfig, init_params
 from .scene import JOINT_NAMES
 
 DEFAULT_H = 1e-4
@@ -169,25 +169,16 @@ def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     rng = np.random.default_rng(seed + 1)
     for key in mp.params:
         mp.params[key] = mp.params[key] + 0.05 * rng.normal(size=mp.params[key].shape)
-    inputs = variant_inputs(cfg, rng)
+    inputs, _ = model._prepare_inputs(cfg, variant_inputs(cfg, rng))
     gt = rng.uniform(0, 1, size=(2, cfg.output_width))
-
-    _, analytic = model.backward(cfg, mp, inputs, gt)
-
-    numeric = {}
-    for key, arr in mp.params.items():
-        g = np.zeros_like(arr)
-        flat, gflat = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = model.mse_loss(model.forward(cfg, mp, inputs), gt)
-            flat[i] = orig - h
-            fm = model.mse_loss(model.forward(cfg, mp, inputs), gt)
-            flat[i] = orig
-            gflat[i] = (fp - fm) / (2 * h)
-        numeric[key] = g
-    return _compare(f"variant:{variant}", analytic, numeric, rtol, atol)
+    return check_function(
+        f"variant:{variant}",
+        lambda ts: mse(model._forward_graph(cfg, ts, inputs), gt),
+        mp.params,
+        rtol,
+        atol,
+        h,
+    )
 
 
 def run_gradient_checks(seeds=(0, 1, 2), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[CheckResult]:

@@ -88,13 +88,17 @@ def frames_from_records(records: list[dict]) -> list[FusedFrame]:
     """Materialize fused JSONL records into in-memory frames.
 
     Only preprocessed records (``"fused": true``: world-frame points,
-    normalized SNR) are accepted, and every point value must be finite;
-    either error names the frame.
+    normalized SNR) are accepted, each ``frame_id`` at most once, and every
+    point value must be finite; each error names the frame.
     """
     frames = []
+    seen = set()
     for rec in records:
         if rec.get("fused") is not True:
             raise ValueError(f"frame {rec['frame_id']}: not a fused record (run preprocess first)")
+        if rec["frame_id"] in seen:
+            raise ValueError(f"frame {rec['frame_id']}: frame_id repeated in the fused records")
+        seen.add(rec["frame_id"])
         points = np.asarray(rec["points"], dtype=float).reshape(-1, 5)
         if not np.isfinite(points).all():
             raise ValueError(f"frame {rec['frame_id']}: non-finite point values")

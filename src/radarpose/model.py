@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -275,8 +275,17 @@ def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = Non
 
 
 def forward(cfg: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
-    """Predict normalized joint coordinates; (B, 3J) or (3J,) for one frame."""
+    """Predict normalized joint coordinates; (B, 3J) or (3J,) for one frame.
+
+    Raises ``ValueError`` naming the first input row that holds a NaN or
+    inf: the ReLUs would otherwise map it to a finite prediction.
+    """
     tensors, single = _prepare_inputs(cfg, inputs)
+    for key, t in tensors.items():
+        bad = np.argwhere(~np.isfinite(t.data).all(axis=-1))
+        if len(bad):
+            name = key if key == "cloud" else f"view_{key}"
+            raise ValueError(f"non-finite input: example {bad[0][0]}, {name} row {bad[0][1]}")
     out = _forward_graph(cfg, _wrap_params(params.params), tensors)
     return out.data[0] if single else out.data
 
@@ -559,41 +568,18 @@ def predict(params: ModelParams, frame) -> SkeletonEstimate:
 CHECKPOINT_FORMAT = "radarpose-checkpoint"
 CHECKPOINT_VERSION = 1
 
-_TUPLE_FIELDS = (
-    "excluded_joints", "conv_spec", "row_mlp_spec", "pointnet_mlp_spec",
-    "pointnet_head_spec", "mlp_head_spec", "tnet_row_spec", "tnet_head_spec",
-)
-
-
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "variant": cfg.variant,
-        "n_max": cfg.n_max,
-        "excluded_joints": list(cfg.excluded_joints),
-        "conv_spec": [list(s) for s in cfg.conv_spec],
-        "row_mlp_spec": list(cfg.row_mlp_spec),
-        "pointnet_mlp_spec": list(cfg.pointnet_mlp_spec),
-        "pointnet_head_spec": list(cfg.pointnet_head_spec),
-        "mlp_head_spec": list(cfg.mlp_head_spec),
-        "tnet_row_spec": list(cfg.tnet_row_spec),
-        "tnet_head_spec": list(cfg.tnet_head_spec),
-        "seed": cfg.seed,
-    }
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
-    kwargs = dict(d)
-    for key in _TUPLE_FIELDS:
-        val = kwargs[key]
-        kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-    return ModelConfig(**kwargs)
+    def tuples(v):
+        return tuple(tuples(x) for x in v) if isinstance(v, list) else v
+
+    return ModelConfig(**{k: tuples(v) for k, v in d.items()})
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(params.config),
+        "config": asdict(params.config),
         "norm": {
             "gt_min": None if params.gt_min is None else params.gt_min.tolist(),
             "gt_max": None if params.gt_max is None else params.gt_max.tolist(),

@@ -1,7 +1,10 @@
 """Closed-form FMCW chirp relations.
 
-Pure scalar functions tying range, velocity, and azimuth to the beat
-frequency and phase observables of a linear chirp. All quantities are SI
+Pure functions tying range, velocity, and azimuth to the beat frequency
+and phase observables of a linear chirp. The four forward relations
+(:func:`beat_frequency`, :func:`phase_at_range`, :func:`doppler_phase`,
+:func:`azimuth_phase`) take a scalar or an array in their first argument
+and apply the same formula elementwise. All quantities are SI
 (m, s, Hz, rad). Phases here are unwrapped; wrapping to (-pi, pi] is the
 business of whoever measures a phase, not of these formulas.
 """
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Speed of light in vacuum [m/s], exact by SI definition.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -33,13 +38,13 @@ def round_trip_delay(distance_m: float) -> float:
     return 2.0 * distance_m / C
 
 
-def beat_frequency(distance_m: float, slope_hz_per_s: float) -> float:
+def beat_frequency(distance_m, slope_hz_per_s: float):
     """IF-signal frequency [Hz] of a reflector at ``distance_m``.
 
     The mixer output frequency equals the chirp slope times the round-trip
     delay, so it grows linearly with range.
     """
-    if distance_m < 0:
+    if np.any(distance_m < 0):
         raise ValueError(f"distance must be >= 0, got {distance_m}")
     if slope_hz_per_s <= 0:
         raise ValueError(f"chirp slope must be > 0, got {slope_hz_per_s}")
@@ -47,7 +52,7 @@ def beat_frequency(distance_m: float, slope_hz_per_s: float) -> float:
 
 
 def range_from_beat(beat_hz: float, slope_hz_per_s: float) -> float:
-    """Reflector range [m] from a measured beat frequency.
+    """Range [m] of a reflector from a measured beat frequency.
 
     Exact inverse of :func:`beat_frequency`.
     """
@@ -58,16 +63,16 @@ def range_from_beat(beat_hz: float, slope_hz_per_s: float) -> float:
     return beat_hz * C / (2.0 * slope_hz_per_s)
 
 
-def phase_at_range(distance_m: float, wavelength_m: float) -> float:
+def phase_at_range(distance_m, wavelength_m: float):
     """Round-trip carrier phase [rad] at ``distance_m`` (unwrapped)."""
-    if distance_m < 0:
+    if np.any(distance_m < 0):
         raise ValueError(f"distance must be >= 0, got {distance_m}")
     if wavelength_m <= 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength_m}")
     return 4.0 * math.pi * distance_m / wavelength_m
 
 
-def doppler_phase(velocity_mps: float, chirp_time_s: float, wavelength_m: float) -> float:
+def doppler_phase(velocity_mps, chirp_time_s: float, wavelength_m: float):
     """Chirp-to-chirp phase advance [rad] of a reflector receding at ``velocity_mps``.
 
     Odd in velocity: an approaching reflector (negative range rate) gives a
@@ -100,7 +105,7 @@ def velocity_from_phase(dphi_rad: float, chirp_time_s: float, wavelength_m: floa
     return wavelength_m * dphi_rad / (4.0 * math.pi * chirp_time_s)
 
 
-def azimuth_phase(azimuth_rad: float, rx_spacing_m: float, wavelength_m: float) -> float:
+def azimuth_phase(azimuth_rad, rx_spacing_m: float, wavelength_m: float):
     """Inter-antenna phase difference [rad] for a reflector at ``azimuth_rad``.
 
     The second receive antenna sees a path longer by ``rx_spacing * sin(az)``
@@ -110,7 +115,7 @@ def azimuth_phase(azimuth_rad: float, rx_spacing_m: float, wavelength_m: float) 
         raise ValueError(f"antenna spacing must be > 0, got {rx_spacing_m}")
     if wavelength_m <= 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength_m}")
-    return 2.0 * math.pi * rx_spacing_m * math.sin(azimuth_rad) / wavelength_m
+    return 2.0 * math.pi * rx_spacing_m * np.sin(azimuth_rad) / wavelength_m
 
 
 def angle_from_phase(dphi_rad: float, rx_spacing_m: float, wavelength_m: float) -> float:

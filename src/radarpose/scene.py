@@ -2,7 +2,7 @@
 
 Generates ground-truth 32-joint skeleton motion for four actions (walking
 toward/away from the radar wall, swinging the right/left arm), converts the
-posed body into radar-frame point reflectors, and renders whole datasets
+posed body into (R, 5) radar-frame reflector rows, and renders whole datasets
 through the FMCW simulator into JSON Lines files.
 
 Kinematics are deliberately simple sinusoids around fixed pivots: the goal
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fmcw import Reflector, detect_points, detections_to_points, synthesize_frame
+from .fmcw import detect_points, detections_to_points, synthesize_frame
 from .physics import ChirpConfig
 from .pointcloud import DEFAULT_POSES, RadarPose, rotate_to_radar, transform_to_radar
 from .records import make_record, write_jsonl
@@ -168,6 +168,12 @@ def _bone_gain(child: str) -> float:
     if child in _EXTREMITY:
         return 0.3
     return 0.5
+
+
+# parent joint, child joint and reflection gain of each bone, in BONES order
+_BONE_PARENT = np.array([JOINT_INDEX[p] for p, _ in BONES])
+_BONE_CHILD = np.array([JOINT_INDEX[c] for _, c in BONES])
+_BONE_GAIN = np.array([_bone_gain(c) for _, c in BONES])
 
 
 @dataclass
@@ -334,13 +340,17 @@ def reflectors_from_skeleton(
     density: int,
     radar_pose: RadarPose,
     velocities: np.ndarray | None = None,
-):
+) -> np.ndarray:
     """Sample radar-frame point reflectors along every bone.
 
     ``density`` points per bone, evenly spaced; reflection gain depends on
     the body part. Radial velocity is the line-of-sight projection of the
     (linearly interpolated) joint velocity; pass ``velocities`` as a
     (32, 3) world-frame array, else the body is treated as static.
+
+    Returns (31 * density, 5) rows ``[x, y, z, radial velocity, gain]``,
+    bone by bone in BONES order, the points of each bone from parent to
+    child.
     """
     if density < 1:
         raise ValueError("density must be >= 1")
@@ -348,25 +358,17 @@ def reflectors_from_skeleton(
         velocities = np.zeros((N_JOINTS, 3))
     velocities = np.asarray(velocities, dtype=float)
 
-    fracs = (np.arange(density) + 0.5) / density
-    positions, vels, gains = [], [], []
-    for parent, child in BONES:
-        p0, p1 = skel.joints[JOINT_INDEX[parent]], skel.joints[JOINT_INDEX[child]]
-        v0, v1 = velocities[JOINT_INDEX[parent]], velocities[JOINT_INDEX[child]]
-        gain = _bone_gain(child)
-        for f in fracs:
-            positions.append(p0 + f * (p1 - p0))
-            vels.append(v0 + f * (v1 - v0))
-            gains.append(gain)
+    fracs = ((np.arange(density) + 0.5) / density)[None, :, None]
 
-    positions = transform_to_radar(np.asarray(positions), radar_pose)
-    vels = rotate_to_radar(np.asarray(vels), radar_pose)
+    def along_bones(a: np.ndarray) -> np.ndarray:
+        a0, a1 = a[_BONE_PARENT][:, None, :], a[_BONE_CHILD][:, None, :]
+        return (a0 + fracs * (a1 - a0)).reshape(-1, 3)
+
+    positions = transform_to_radar(along_bones(skel.joints), radar_pose)
+    vels = rotate_to_radar(along_bones(velocities), radar_pose)
     ranges = np.linalg.norm(positions, axis=1)
     radial = np.sum(positions * vels, axis=1) / ranges
-    return [
-        Reflector(position=p, radial_velocity=float(rv), rcs_amplitude=g)
-        for p, rv, g in zip(positions, radial, gains)
-    ]
+    return np.column_stack([positions, radial, np.repeat(_BONE_GAIN, density)])
 
 
 def _subject_lengths(base: dict, subject: int) -> dict:

@@ -12,7 +12,7 @@ import numpy as np
 from test_pointcloud import canonical_labels, random_instance, reference_dbscan
 
 from radarpose.cli import main as cli_main
-from radarpose.fmcw import Reflector, detect_points, synthesize_frame
+from radarpose.fmcw import detect_points, synthesize_frame
 from radarpose.gradcheck import run_gradient_checks, toy_config, variant_inputs
 from radarpose.harness import AblationConfig, frames_from_records, run_ablation
 from radarpose.model import (
@@ -92,10 +92,7 @@ def test_acceptance_signal_recovery_sweep():
     for r in ranges:
         for v in velocities:
             for az in azimuths:
-                refl = Reflector(
-                    position=[r * math.sin(az), r * math.cos(az), 0.0],
-                    radial_velocity=float(v),
-                )
+                refl = [r * math.sin(az), r * math.cos(az), 0.0, float(v), 1.0]
                 dets = detect_points(synthesize_frame([refl], cfg, seed=0))
                 assert dets, f"nothing detected at r={r} v={v} az={az}"
                 best = max(dets, key=lambda d: d.snr_db)

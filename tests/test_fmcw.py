@@ -1,33 +1,33 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from radarpose.fmcw import (
     Detection,
+    SNR_CAP_DB,
     RawFrame,
-    Reflector,
     bin_to_range,
     detect_points,
     detections_to_points,
     range_spectrum,
     synthesize_frame,
 )
-from radarpose.physics import ChirpConfig, beat_frequency
+from radarpose.physics import ChirpConfig, beat_frequency, range_from_beat, velocity_from_phase
 
 CFG = ChirpConfig()  # 77 GHz, 30 MHz/us slope, 100 us chirp, 200 samples @ 2 MHz
 
+NO_REFLECTORS = np.empty((0, 5))
+
 
 def one_reflector(d=2.0, v=0.0, az_rad=0.0, amp=1.0):
-    return Reflector(
-        position=[d * math.sin(az_rad), d * math.cos(az_rad), 0.0],
-        radial_velocity=v,
-        rcs_amplitude=amp,
-    )
+    """One reflector row [x, y, z, radial velocity, amplitude]."""
+    return [d * math.sin(az_rad), d * math.cos(az_rad), 0.0, v, amp]
 
 
 def test_empty_scene_zero_noise_is_silent():
-    frame = synthesize_frame([], CFG, seed=0)
+    frame = synthesize_frame(NO_REFLECTORS, CFG, seed=0)
     assert frame.samples.shape == (2, 2, 200)
     assert not frame.samples.any()
 
@@ -54,9 +54,20 @@ def test_synthesis_deterministic_given_seed():
 
 def test_synthesis_rejects_degenerate_reflectors():
     with pytest.raises(ValueError):
-        synthesize_frame([Reflector(position=[0.0, 0.0, 0.0])], CFG, seed=0)
+        synthesize_frame([[0.0, 0.0, 0.0, 0.0, 1.0]], CFG, seed=0)
     with pytest.raises(ValueError):
-        synthesize_frame([Reflector(position=[0.0, -1.0, 0.0])], CFG, seed=0)
+        synthesize_frame([[0.0, -1.0, 0.0, 0.0, 1.0]], CFG, seed=0)
+
+
+def test_synthesis_rejects_negative_amplitude():
+    with pytest.raises(ValueError, match="amplitude"):
+        synthesize_frame([one_reflector(), one_reflector(amp=-0.1)], CFG, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(5,), (0,), (3, 4), (2, 6), (1, 5, 1)])
+def test_synthesis_rejects_anything_but_reflector_rows(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        synthesize_frame(np.ones(shape), CFG, seed=0)
 
 
 def test_dominant_frequency_matches_beat_oracle():
@@ -81,7 +92,7 @@ def test_range_spectrum_pure_tone_hits_its_bin():
 
 
 def test_range_spectrum_index_bounds():
-    frame = synthesize_frame([], CFG, seed=0)
+    frame = synthesize_frame(NO_REFLECTORS, CFG, seed=0)
     with pytest.raises(IndexError):
         range_spectrum(frame, 2, 0)
     with pytest.raises(IndexError):
@@ -116,9 +127,9 @@ def test_detect_offboresight_azimuth():
 
 
 def test_detect_nothing_in_empty_frame():
-    frame = synthesize_frame([], ChirpConfig(noise_std=0.5), seed=1)
+    frame = synthesize_frame(NO_REFLECTORS, ChirpConfig(noise_std=0.5), seed=1)
     assert detect_points(frame, threshold_db=40.0) == []
-    silent = synthesize_frame([], CFG, seed=0)
+    silent = synthesize_frame(NO_REFLECTORS, CFG, seed=0)
     assert detect_points(silent) == []
 
 
@@ -187,3 +198,112 @@ def test_detections_to_points_inverse_transform_oracle():
 def test_raw_frame_shape_checked():
     with pytest.raises(ValueError):
         RawFrame(samples=np.zeros((2, 2, 10), dtype=complex), config=CFG)
+
+
+# --- oracles: the per-reflector and per-bin forms these functions replaced ---
+
+
+def _synthesize_per_reflector(rows, cfg, seed):
+    """IF samples built reflector by reflector with the scalar chirp formulas."""
+    lam = cfg.wavelength_m
+    f0, phi0, dphi_v, dphi_a, amp = [], [], [], [], []
+    for x, y, z, v, a in rows:
+        d = float(np.linalg.norm(np.array([x, y, z])))
+        f0.append(cfg.slope_hz_per_s * 2.0 * d / 299_792_458.0)
+        phi0.append(4.0 * math.pi * d / lam)
+        dphi_v.append(4.0 * math.pi * v * cfg.chirp_time_s / lam)
+        dphi_a.append(2.0 * math.pi * cfg.rx_spacing_m * math.sin(math.atan2(x, y)) / lam)
+        amp.append(a)
+    f0, phi0, dphi_v, dphi_a, amp = map(np.array, (f0, phi0, dphi_v, dphi_a, amp))
+    t = np.arange(cfg.n_samples) / cfg.sample_rate_hz
+    samples = np.zeros((cfg.n_chirps, 2, cfg.n_samples), dtype=complex)
+    if rows:
+        phase = (
+            2.0 * math.pi * f0[:, None, None, None] * t[None, None, None, :]
+            + phi0[:, None, None, None]
+            + np.arange(cfg.n_chirps)[None, :, None, None] * dphi_v[:, None, None, None]
+            + np.arange(2)[None, None, :, None] * dphi_a[:, None, None, None]
+        )
+        samples = np.sum(amp[:, None, None, None] * np.exp(1j * phase), axis=0)
+    if cfg.noise_std > 0:
+        rng = np.random.default_rng(seed)
+        scale = cfg.noise_std / math.sqrt(2.0)
+        samples = samples + scale * (
+            rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
+        )
+    return samples
+
+
+def _detect_per_bin(frame, threshold_db):
+    """The detector with its peak test written as a loop over bins 1..n-2."""
+    cfg = frame.config
+    s00, s10, s01 = (np.fft.fft(frame.samples[c, r]) for c, r in ((0, 0), (1, 0), (0, 1)))
+    power = np.abs(s00) ** 2
+    if not np.any(power > 0):
+        return []
+    floor = max(float(np.median(power)), float(power.max()) * 10 ** (-SNR_CAP_DB / 10.0))
+    gate = floor * 10 ** (threshold_db / 10.0)
+    lam = cfg.wavelength_m
+    out = []
+    for k in range(1, cfg.n_samples - 1):
+        if not (power[k] > gate and power[k] > power[k - 1] and power[k] >= power[k + 1]):
+            continue
+        dphi_v = float(np.angle(s10[k] * np.conj(s00[k])))
+        dphi_a = float(np.angle(s01[k] * np.conj(s00[k])))
+        sin_az = float(np.clip(lam * dphi_a / (2.0 * math.pi * cfg.rx_spacing_m), -1.0, 1.0))
+        out.append(
+            Detection(
+                range_m=range_from_beat(k * cfg.sample_rate_hz / cfg.n_samples, cfg.slope_hz_per_s),
+                radial_velocity=velocity_from_phase(dphi_v, cfg.chirp_time_s, lam),
+                azimuth_rad=math.asin(sin_az),
+                elevation_rad=0.0,
+                snr_db=min(10.0 * math.log10(power[k] / floor), SNR_CAP_DB),
+            )
+        )
+    return out
+
+
+def _random_rows(rng, n):
+    r = rng.uniform(0.3, 6.0, n)
+    az = rng.uniform(-1.4, 1.4, n)
+    el = rng.uniform(-0.6, 0.6, n)
+    return np.column_stack([
+        r * np.sin(az) * np.cos(el),
+        r * np.cos(az) * np.cos(el),
+        r * np.sin(el),
+        rng.uniform(-3.0, 3.0, n),
+        rng.uniform(0.0, 1.5, n),
+    ])
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_synthesis_is_bitwise_the_per_reflector_loop(noise_std):
+    rng = np.random.default_rng(23)
+    cfg = ChirpConfig(noise_std=noise_std)
+    for n in (0, 1, 2, 31, 124):
+        rows = _random_rows(rng, n)
+        got = synthesize_frame(rows, cfg, seed=n).samples
+        assert got.tobytes() == _synthesize_per_reflector(rows.tolist(), cfg, seed=n).tobytes()
+
+
+@pytest.mark.parametrize("threshold_db", [0.0, 3.0, 8.0, 12.0])
+def test_peak_mask_finds_the_per_bin_loop_detections(threshold_db):
+    rng = np.random.default_rng(5)
+    cfg = ChirpConfig(noise_std=0.4)
+    for seed in range(12):
+        frame = synthesize_frame(_random_rows(rng, 1 + seed * 10), cfg, seed=seed)
+        assert detect_points(frame, threshold_db) == _detect_per_bin(frame, threshold_db)
+
+
+def test_peak_mask_handles_plateaus_and_edge_bins():
+    # power plateau over bins 10-11 (only the first is a peak) and peaks on
+    # the edge bins 0 and n-1 (never reported)
+    spectrum = np.full(CFG.n_samples, 0.01 + 0j)
+    spectrum[[0, 10, 11, 40, CFG.n_samples - 1]] = [50.0, 20.0, 20.0, 30.0, 40.0]
+    tone = np.fft.ifft(spectrum)
+    frame = RawFrame(samples=np.tile(tone, (2, 2, 1)), config=CFG)
+    power = np.abs(range_spectrum(frame, 0, 0)) ** 2
+    assert power[10] == power[11]
+    dets = detect_points(frame)
+    assert dets == _detect_per_bin(frame, 12.0)
+    assert [d.range_m for d in dets] == [bin_to_range(CFG, 10), bin_to_range(CFG, 40)]

@@ -196,6 +196,12 @@ def test_frames_from_records_rejects_nonfinite_points():
             frames_from_records([rec])
 
 
+def test_frames_from_records_rejects_a_repeated_frame_id():
+    recs = [_fused_record(i, [[0.1, 2.0, 1.0, -0.2, 0.7]]) for i in (4, 6, 4)]
+    with pytest.raises(ValueError, match="frame 4: frame_id repeated"):
+        frames_from_records(recs)
+
+
 def test_loss_curve_svg(tmp_path):
     hist = [{"epoch": i, "train_loss": 1.0 / (i + 1), "val_loss": 1.5 / (i + 1)} for i in range(5)]
     svg = loss_curve_svg(hist, tmp_path / "loss.svg")

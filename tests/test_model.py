@@ -255,6 +255,23 @@ def test_train_rejects_nonfinite_step(field):
         train(cfg, ex, Hyper(lr=1e-3, batch=4, epochs=2, seed=0, val_fraction=0.0))
 
 
+def test_forward_rejects_a_nonfinite_input_row():
+    # the ReLUs map NaN to 0, so without the check this predicts finite numbers
+    cfg = toy_config("dual_mlp", seed=21)
+    mp = init_params(cfg)
+    mp.gt_min, mp.gt_max = np.zeros(3), np.ones(3)
+    ex = toy_examples(np.random.default_rng(15), cfg, n_frames=4)
+    ex.view_yz[2, 5, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
+        forward(cfg, mp, ex.inputs_for(cfg))
+    with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
+        predict_batch(mp, ex)
+    with pytest.raises(ValueError, match="non-finite input: example 0, view_yz row 5"):
+        forward(cfg, mp, (ex.view_xy[2], ex.view_yz[2]))
+    ex.view_yz[2, 5, 1] = 0.0
+    assert np.isfinite(predict_batch(mp, ex)).any()
+
+
 def _per_array_adam(params, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam as one set of temporaries per array: the reference for the flat step."""
     for k, p in params.items():

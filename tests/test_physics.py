@@ -172,3 +172,24 @@ def test_chirp_config_validation():
 
 def test_module_constant_is_si_exact():
     assert physics.SPEED_OF_LIGHT == 299792458.0
+
+
+def test_forward_relations_take_arrays_elementwise():
+    rng = np.random.default_rng(9)
+    d, v, th = rng.uniform(0, 8, 40), rng.normal(size=40), rng.uniform(-1.5, 1.5, 40)
+    lam = LAMBDA_77GHZ
+    cases = (
+        (lambda x: beat_frequency(x, 3e13), d),
+        (lambda x: phase_at_range(x, lam), d),
+        (lambda x: doppler_phase(x, 1e-4, lam), v),
+        (lambda x: azimuth_phase(x, lam / 2, lam), th),
+    )
+    for relation, xs in cases:
+        assert relation(xs).tolist() == [relation(x) for x in xs.tolist()]
+    # the scalar sine is the one math.sin gives
+    assert [azimuth_phase(x, lam / 2, lam) for x in th.tolist()] == [
+        2.0 * math.pi * (lam / 2) * math.sin(x) / lam for x in th.tolist()
+    ]
+    for relation in (lambda x: beat_frequency(x, 3e13), lambda x: phase_at_range(x, lam)):
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            relation(np.array([1.0, -0.5, 2.0]))

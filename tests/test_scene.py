@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radarpose.physics import ChirpConfig
-from radarpose.pointcloud import RADAR_A_POSE, RadarPose
+from radarpose.pointcloud import RADAR_A_POSE, RADAR_B_POSE, RadarPose, rotate_to_radar, transform_to_radar
 from radarpose.records import read_jsonl
 from radarpose.scene import (
     ACTIONS,
@@ -17,6 +17,7 @@ from radarpose.scene import (
     bone_lengths_of,
     generate_dataset,
     joint_velocities,
+    _bone_gain,
     pose_at,
     reflectors_from_skeleton,
     skeleton_template,
@@ -128,7 +129,7 @@ def test_pose_at_rejects_unknown_action():
 def test_static_pose_yields_zero_radial_velocity():
     frame = skeleton_template()
     refl = reflectors_from_skeleton(frame, density=2, radar_pose=RADAR_A_POSE)
-    assert all(r.radial_velocity == 0.0 for r in refl)
+    assert all(rv == 0.0 for rv in refl[:, 3])
 
 
 def test_density_one_gives_one_reflector_per_bone():
@@ -142,8 +143,36 @@ def test_torso_reflects_stronger_than_limbs():
     frame = skeleton_template()
     refl = reflectors_from_skeleton(frame, density=1, radar_pose=RADAR_A_POSE)
     by_child = {child: r for (_, child), r in zip(BONES, refl)}
-    assert by_child["spine_chest"].rcs_amplitude > by_child["knee_left"].rcs_amplitude
-    assert by_child["knee_left"].rcs_amplitude > by_child["hand_left"].rcs_amplitude
+    assert by_child["spine_chest"][4] > by_child["knee_left"][4]
+    assert by_child["knee_left"][4] > by_child["hand_left"][4]
+
+
+def _reflectors_per_bone(skel, density, radar_pose, velocities):
+    """Bone sampling written as a loop over bones and fractions."""
+    fracs = (np.arange(density) + 0.5) / density
+    positions, vels, gains = [], [], []
+    for parent, child in BONES:
+        p0, p1 = skel.joints[JOINT_INDEX[parent]], skel.joints[JOINT_INDEX[child]]
+        v0, v1 = velocities[JOINT_INDEX[parent]], velocities[JOINT_INDEX[child]]
+        for f in fracs:
+            positions.append(p0 + f * (p1 - p0))
+            vels.append(v0 + f * (v1 - v0))
+            gains.append(_bone_gain(child))
+    positions = transform_to_radar(np.asarray(positions), radar_pose)
+    vels = rotate_to_radar(np.asarray(vels), radar_pose)
+    radial = np.sum(positions * vels, axis=1) / np.linalg.norm(positions, axis=1)
+    return [[*p, float(rv), g] for p, rv, g in zip(positions.tolist(), radial, gains)]
+
+
+@pytest.mark.parametrize("density", [1, 4, 7])
+def test_reflectors_are_bitwise_the_per_bone_loop(density):
+    for action, t, radar_pose in (("walk_toward", 0.7, RADAR_A_POSE), ("swing_left", 1.1, RADAR_B_POSE)):
+        cfg = MotionConfig(seed=3)
+        pose, vels = pose_at(action, t, cfg), joint_velocities(action, t, cfg)
+        refl = reflectors_from_skeleton(pose, density, radar_pose, vels)
+        assert refl.shape == (31 * density, 5)
+        oracle = np.array(_reflectors_per_bone(pose, density, radar_pose, vels))
+        assert refl.tobytes() == oracle.tobytes()
 
 
 def test_walking_toward_radar_has_negative_mean_range_rate():
@@ -159,7 +188,7 @@ def test_walking_toward_radar_has_negative_mean_range_rate():
     ) / (2 * dt)
     assert pelvis_rate < 0
     refl = reflectors_from_skeleton(pose, density=2, radar_pose=BORESIGHT_RADAR, velocities=vels)
-    assert np.mean([r.radial_velocity for r in refl]) < 0
+    assert np.mean(refl[:, 3]) < 0
 
 
 def test_generate_dataset_counts(tmp_path):
