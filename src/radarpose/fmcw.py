@@ -74,7 +74,10 @@ def synthesize_frame(
 
     Each sample is the coherent sum over reflectors of
     ``A * exp(i(2 pi f0 t + phi0 + chirp * dphi_vel + rx * dphi_az))``
-    plus circular Gaussian noise of std ``cfg.noise_std``. Bit-identical
+    plus circular Gaussian noise of std ``cfg.noise_std``. The sum is taken
+    as one product of a per-(chirp, rx) weight ``A * exp(i(chirp * dphi_vel
+    + rx * dphi_az))`` and a per-sample tone ``exp(i(2 pi f0 t + phi0))``;
+    it stays within 1e-11 * sum(A) of the term-by-term sum. Bit-identical
     for identical (reflectors, cfg, seed).
     """
     refl = np.asarray(reflectors, dtype=float)
@@ -93,19 +96,16 @@ def synthesize_frame(
     f0 = beat_frequency(dist, cfg.slope_hz_per_s)
     phi0 = phase_at_range(dist, lam)
     dphi_v = doppler_phase(refl[:, 3], cfg.chirp_time_s, lam)
-    # math.atan2, not np.arctan2, which differs from it in the last bit
-    theta = np.array([math.atan2(x, y) for x, y in pos[:, :2].tolist()])
-    dphi_a = azimuth_phase(theta, cfg.rx_spacing_m, lam)
+    dphi_a = azimuth_phase(np.arctan2(pos[:, 0], pos[:, 1]), cfg.rx_spacing_m, lam)
 
+    # the signal separates into one tone per reflector, tone[r, sample], and
+    # one weight per reflector and (chirp, rx) pair, weight[r, 2 * chirp + rx]
     t = np.arange(cfg.n_samples) / cfg.sample_rate_hz
-    # phase[r, chirp, rx, sample]; with no reflectors the sum is all zeros
-    phase = (
-        2.0 * math.pi * f0[:, None, None, None] * t[None, None, None, :]
-        + phi0[:, None, None, None]
-        + np.arange(cfg.n_chirps)[None, :, None, None] * dphi_v[:, None, None, None]
-        + np.arange(2)[None, None, :, None] * dphi_a[:, None, None, None]
-    )
-    samples = np.sum(amp[:, None, None, None] * np.exp(1j * phase), axis=0)
+    tone = np.exp(1j * (2.0 * math.pi * f0[:, None] * t + phi0[:, None]))
+    chirp, rx = np.divmod(np.arange(2 * cfg.n_chirps), 2)
+    weight = amp[:, None] * np.exp(1j * (chirp * dphi_v[:, None] + rx * dphi_a[:, None]))
+    # with no reflectors this is a sum over nothing: exact zeros
+    samples = (weight.T @ tone).reshape(cfg.n_chirps, 2, cfg.n_samples)
 
     if cfg.noise_std > 0:
         rng = np.random.default_rng(seed)

@@ -110,8 +110,10 @@ def align_streams(stream_a, stream_b, window_ms: float) -> list[tuple]:
     Items are records (keyed by ``"t_ms"``) or bare timestamps. Candidate
     pairs with |dt| <= window_ms / 2 are accepted closest-first; each frame
     is used at most once. Returns (item_a, item_b) pairs sorted by the
-    a-side timestamp.
+    a-side timestamp. A negative or non-finite ``window_ms`` raises.
     """
+    if not (math.isfinite(window_ms) and window_ms >= 0):
+        raise ValueError(f"window_ms must be finite and >= 0, got {window_ms}")
     ta = [_time_key(x) for x in stream_a]
     tb = [_time_key(x) for x in stream_b]
     for name, ts in (("stream_a", ta), ("stream_b", tb)):
@@ -195,11 +197,14 @@ def normalize_snr(records, bounds: tuple[float, float] | None = None):
     Without explicit ``bounds`` the constants are computed from ``records``
     (use the training split for that, then pass the returned constants when
     scaling test data; scaled test values may fall outside [0, 1]). A
-    degenerate span maps everything to 0.5.
+    degenerate span maps everything to 0.5. Bounds with ``lo > hi`` or a
+    non-finite value raise.
     """
     if bounds is None:
         bounds = snr_bounds(records)
     lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"SNR bounds must be finite with snr_min <= snr_max, got snr_min={lo}, snr_max={hi}")
     span = hi - lo
     out = []
     for rec in records:

@@ -127,6 +127,12 @@ _BONE_SPEC = {
     "foot_right": ("ankle_foot", (0, -1, 0)),
 }
 
+# (bone-length key, unit direction) per child joint, normalized once
+_BONE_UNIT = {
+    child: (key, np.asarray(direction, dtype=float) / np.linalg.norm(direction))
+    for child, (key, direction) in _BONE_SPEC.items()
+}
+
 #: Joint subsets used downstream (metrics, training target selection).
 LOWER_BODY_JOINTS = (
     "hip_left", "hip_right", "knee_left", "knee_right",
@@ -253,9 +259,7 @@ def skeleton_template(bone_lengths: dict | None = None, pelvis_depth: float = RE
     joints = np.zeros((N_JOINTS, 3))
     joints[JOINT_INDEX["pelvis"]] = [0.0, pelvis_depth, pelvis_z]
     for child in JOINT_NAMES[1:]:
-        key, direction = _BONE_SPEC[child]
-        d = np.asarray(direction, dtype=float)
-        d /= np.linalg.norm(d)
+        key, d = _BONE_UNIT[child]
         parent = JOINT_PARENT[child]
         joints[JOINT_INDEX[child]] = joints[JOINT_INDEX[parent]] + lengths[key] * d
     return SkeletonFrame(joints=joints, action="walk_toward", swing_state="none")

@@ -118,6 +118,22 @@ def test_preprocess_snr_meta_reuse(small_pipeline, tmp_path):
     assert (meta["snr_min"], meta["snr_max"]) == (orig["snr_min"], orig["snr_max"])
 
 
+def test_preprocess_rejects_a_negative_window(small_pipeline, tmp_path):
+    _, raw, _, _ = small_pipeline
+    with pytest.raises(ValueError, match="window_ms"):
+        main(["preprocess", "--in", str(raw), "--out", str(tmp_path / "f.jsonl"), "--window-ms", "-10"])
+
+
+def test_preprocess_rejects_reversed_snr_meta(small_pipeline, tmp_path):
+    _, raw, _, _ = small_pipeline
+    meta = tmp_path / "reversed.meta.json"
+    meta.write_text(json.dumps({"snr_min": 40, "snr_max": 10}))
+    out = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match="snr_min=40, snr_max=10"):
+        main(["preprocess", "--in", str(raw), "--out", str(out), "--snr-meta", str(meta)])
+    assert not out.exists()
+
+
 def test_train_cli_checkpoint_and_svg(small_pipeline):
     root, _, _, ckpt = small_pipeline
     params = load_checkpoint(ckpt)

@@ -276,14 +276,75 @@ def _random_rows(rng, n):
     ])
 
 
+#: Largest |sample - reference| allowed, per unit of summed reflector amplitude.
+SYNTHESIS_TOL = 1e-11
+
+
+def _synthesize_long_double(rows, cfg, seed):
+    """The per-reflector formula in np.longdouble from the same float64 inputs.
+
+    The noise is the float64 draw synthesize_frame adds, added exactly.
+    """
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    x, y, z, v, a = np.asarray(rows, dtype=ld).reshape(-1, 5).T
+    lam = ld(cfg.wavelength_m)
+    d = np.sqrt(x * x + y * y + z * z)
+    f0 = ld(cfg.slope_hz_per_s) * 2 * d / ld(299_792_458.0)
+    phi0 = 4 * pi * d / lam
+    dphi_v = 4 * pi * v * ld(cfg.chirp_time_s) / lam
+    dphi_a = 2 * pi * ld(cfg.rx_spacing_m) * np.sin(np.arctan2(x, y)) / lam
+    t = np.arange(cfg.n_samples, dtype=ld) / ld(cfg.sample_rate_hz)
+    phase = (
+        2 * pi * f0[:, None, None, None] * t[None, None, None, :]
+        + phi0[:, None, None, None]
+        + np.arange(cfg.n_chirps, dtype=ld)[None, :, None, None] * dphi_v[:, None, None, None]
+        + np.arange(2, dtype=ld)[None, None, :, None] * dphi_a[:, None, None, None]
+    )
+    re = np.sum(a[:, None, None, None] * np.cos(phase), axis=0)
+    im = np.sum(a[:, None, None, None] * np.sin(phase), axis=0)
+    if cfg.noise_std > 0:
+        noise = _synthesize_per_reflector([], cfg, seed)
+        re, im = re + noise.real.astype(ld), im + noise.imag.astype(ld)
+    return re, im
+
+
+def _worst_deviation(samples, reference):
+    re, im = reference
+    return float(np.max(np.hypot(samples.real.astype(np.longdouble) - re, samples.imag.astype(np.longdouble) - im)))
+
+
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
-def test_synthesis_is_bitwise_the_per_reflector_loop(noise_std):
+def test_synthesis_matches_the_per_reflector_loop(noise_std):
+    # the tone x weight product reorders the float sum, so equality is to a
+    # bound set from float64 rounding of phases up to ~2e4 rad, not bitwise
     rng = np.random.default_rng(23)
     cfg = ChirpConfig(noise_std=noise_std)
     for n in (0, 1, 2, 31, 124):
         rows = _random_rows(rng, n)
         got = synthesize_frame(rows, cfg, seed=n).samples
-        assert got.tobytes() == _synthesize_per_reflector(rows.tolist(), cfg, seed=n).tobytes()
+        oracle = _synthesize_per_reflector(rows.tolist(), cfg, seed=n)
+        if n == 0:
+            assert got.tobytes() == oracle.tobytes()  # nothing but the noise draw
+        assert np.max(np.abs(got - oracle)) <= SYNTHESIS_TOL * rows[:, 4].sum()
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+    reason="np.longdouble is no wider than float64 on this platform, so it is no reference",
+)
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_synthesis_and_the_loop_stay_near_a_long_double_sum(noise_std):
+    # the old per-reflector loop meets the same bound, so the product form
+    # costs no accuracy that the term-by-term sum had
+    rng = np.random.default_rng(29)
+    cfg = ChirpConfig(noise_std=noise_std)
+    for n in (0, 1, 2, 31, 124):
+        rows = _random_rows(rng, n)
+        reference = _synthesize_long_double(rows, cfg, seed=n)
+        bound = SYNTHESIS_TOL * rows[:, 4].sum()
+        assert _worst_deviation(synthesize_frame(rows, cfg, seed=n).samples, reference) <= bound
+        assert _worst_deviation(_synthesize_per_reflector(rows.tolist(), cfg, seed=n), reference) <= bound
 
 
 @pytest.mark.parametrize("threshold_db", [0.0, 3.0, 8.0, 12.0])

@@ -183,6 +183,16 @@ def test_align_rejects_unsorted():
         align_streams([5, 1], [0], window_ms=10)
 
 
+@pytest.mark.parametrize("window_ms", [-10.0, -1e-9, math.inf, math.nan])
+def test_align_rejects_a_negative_or_nonfinite_window(window_ms):
+    with pytest.raises(ValueError, match="window_ms"):
+        align_streams([0, 50], [0, 50], window_ms=window_ms)
+
+
+def test_align_zero_window_pairs_equal_timestamps_only():
+    assert align_streams([0, 50], [0, 51], window_ms=0) == [(0, 0)]
+
+
 def test_align_on_records():
     recs_a = [{"t_ms": 0, "x": "a0"}, {"t_ms": 50, "x": "a1"}]
     recs_b = [{"t_ms": 2, "x": "b0"}, {"t_ms": 51, "x": "b1"}]
@@ -282,6 +292,17 @@ def test_normalize_snr_affine_endpoints():
 
 def test_normalize_snr_degenerate_maps_to_half():
     recs, _ = normalize_snr([_snr_record([7.0, 7.0])])
+    assert [p[4] for p in recs[0]["points"]] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("bounds", [(40.0, 10.0), (math.nan, 10.0), (0.0, math.inf), (-math.inf, 5.0)])
+def test_normalize_snr_rejects_reversed_or_nonfinite_bounds(bounds):
+    with pytest.raises(ValueError, match="snr_min.*snr_max"):
+        normalize_snr([_snr_record([20.0])], bounds=bounds)
+
+
+def test_normalize_snr_equal_stored_bounds_map_to_half():
+    recs, _ = normalize_snr([_snr_record([3.0, 9.0])], bounds=(7.0, 7.0))
     assert [p[4] for p in recs[0]["points"]] == [0.5, 0.5]
 
 

@@ -9,15 +9,22 @@ from radarpose.pointcloud import RADAR_A_POSE, RADAR_B_POSE, RadarPose, rotate_t
 from radarpose.records import read_jsonl
 from radarpose.scene import (
     ACTIONS,
+    ANKLE_CLEARANCE,
     BONES,
     DEFAULT_BONE_LENGTHS,
+    DEPTH_MAX,
+    DEPTH_MIN,
     JOINT_INDEX,
     JOINT_NAMES,
+    JOINT_PARENT,
+    REST_DEPTH,
     MotionConfig,
     bone_lengths_of,
     generate_dataset,
     joint_velocities,
+    _BONE_SPEC,
     _bone_gain,
+    _subject_lengths,
     pose_at,
     reflectors_from_skeleton,
     skeleton_template,
@@ -61,6 +68,26 @@ def test_template_height_is_sum_of_segments():
 def test_template_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         skeleton_template({"thigh": 0.0})
+
+
+def _template_per_call(lengths, depth):
+    """The rest pose with every bone direction normalized on each call."""
+    joints = np.zeros((len(JOINT_NAMES), 3))
+    joints[JOINT_INDEX["pelvis"]] = [0.0, depth, lengths["thigh"] + lengths["shin"] + ANKLE_CLEARANCE]
+    for child in JOINT_NAMES[1:]:
+        key, direction = _BONE_SPEC[child]
+        d = np.asarray(direction, dtype=float)
+        d /= np.linalg.norm(d)
+        joints[JOINT_INDEX[child]] = joints[JOINT_INDEX[JOINT_PARENT[child]]] + lengths[key] * d
+    return joints
+
+
+@pytest.mark.parametrize("subject", [0, 1, 2])
+def test_template_is_bitwise_the_per_call_normalization(subject):
+    lengths = _subject_lengths(DEFAULT_BONE_LENGTHS, subject)
+    for depth in (DEPTH_MIN, REST_DEPTH, DEPTH_MAX):
+        got = skeleton_template(lengths, pelvis_depth=depth).joints
+        assert got.tobytes() == _template_per_call(lengths, depth).tobytes()
 
 
 def test_template_depth_placement():
