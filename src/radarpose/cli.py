@@ -132,10 +132,15 @@ def cmd_preprocess(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _read_meta(path) -> dict:
+    """The ``<path>.meta.json`` that ``preprocess`` wrote next to ``path``, or {}."""
+    meta_path = Path(str(path) + ".meta.json")
+    return json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+
+
 def _load_examples(path, n_max):
     records = read_jsonl(path)
-    meta_path = Path(str(path) + ".meta.json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    meta = _read_meta(path)
     if n_max is None:
         n_max = meta.get("n_max", 64)
     examples = examples_from_frames(frames_from_records(records), n_max)
@@ -173,6 +178,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
+    meta = _read_meta(args.test)
+    if "snr_min" in meta and params.snr_bounds is not None:
+        test_bounds = (meta["snr_min"], meta["snr_max"])
+        if tuple(params.snr_bounds) != test_bounds:
+            raise ValueError(
+                f"{args.test} was SNR-normalized with (snr_min, snr_max) = {test_bounds}, but "
+                f"{args.checkpoint} was trained with {tuple(params.snr_bounds)}; preprocess the test "
+                "data with --snr-meta pointing at the training data's .meta.json"
+            )
     records = read_jsonl(args.test)
     frames = frames_from_records(records)
     examples = examples_from_frames(frames, params.config.n_max)

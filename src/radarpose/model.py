@@ -19,6 +19,7 @@ place together with flat gradient and moment vectors.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -566,7 +567,7 @@ def predict(params: ModelParams, frame) -> SkeletonEstimate:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "radarpose-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 stored "data" as a JSON list of numbers; it is still read
 
 def _config_from_dict(d: dict) -> ModelConfig:
     def tuples(v):
@@ -586,36 +587,70 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "snr_bounds": None if params.snr_bounds is None else list(params.snr_bounds),
         },
         "params": {
-            k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
+            k: {
+                "shape": list(v.shape),
+                "data": base64.b64encode(np.ascontiguousarray(v, dtype="<f8").tobytes()).decode("ascii"),
+            }
             for k, v in params.params.items()
         },
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _stored_values(path, name: str, entry: dict, version: int, shape: tuple) -> np.ndarray:
+    """Decode one stored parameter into a fresh native float64 array of ``shape``."""
+    if tuple(entry["shape"]) != shape:
+        raise ValueError(
+            f"checkpoint {path}: parameter {name!r} has shape {tuple(entry['shape'])}; its config needs {shape}"
+        )
+    size = math.prod(shape)
+    if version == 1:
+        values = np.asarray(entry["data"], dtype=float)
+        if values.size != size:
+            raise ValueError(f"checkpoint {path}: parameter {name!r} has {values.size} values; {shape} needs {size}")
+    else:
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"checkpoint {path}: parameter {name!r} data is not valid base64 ({exc})") from None
+        if len(raw) != 8 * size:
+            raise ValueError(
+                f"checkpoint {path}: parameter {name!r} decodes to {len(raw)} bytes; {shape} needs {8 * size}"
+            )
+        values = np.frombuffer(raw, "<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"checkpoint {path}: parameter {name!r} holds {values.flat[bad[0]]} at flat index {bad[0]}"
+        )
+    return values.reshape(shape)
+
+
 def load_checkpoint(path) -> ModelParams:
+    """Read a version-2 (or version-1) checkpoint, checking every parameter's
+    name, shape, byte count and finiteness against what its config defines."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+    version = doc.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(
+            f"unsupported checkpoint version {version!r} in {path}; this reader takes 1 and {CHECKPOINT_VERSION}"
+        )
     cfg = _config_from_dict(doc["config"])
     stored = doc["params"]
     params = {}
     for k, ref in init_params(cfg).params.items():
         if k not in stored:
             raise ValueError(f"checkpoint {path} lacks parameter {k!r} that its config needs")
-        data = np.asarray(stored[k]["data"], dtype=float)
-        if tuple(stored[k]["shape"]) != ref.shape or data.size != ref.size:
-            raise ValueError(
-                f"checkpoint {path}: parameter {k!r} has shape {tuple(stored[k]['shape'])} "
-                f"with {data.size} values; its config needs {ref.shape}"
-            )
-        params[k] = data.reshape(ref.shape)
+        params[k] = _stored_values(path, k, stored[k], version, ref.shape)
     extra = [k for k in stored if k not in params]
     if extra:
         raise ValueError(f"checkpoint {path} has parameter {extra[0]!r} that its config does not define")
     norm = doc["norm"]
+    for field in ("gt_min", "gt_max", "snr_bounds"):
+        if norm[field] is not None and not np.isfinite(np.asarray(norm[field], dtype=float)).all():
+            raise ValueError(f"checkpoint {path}: norm field {field!r} holds a non-finite value {norm[field]}")
     return ModelParams(
         config=cfg,
         params=params,

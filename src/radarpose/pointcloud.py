@@ -104,6 +104,11 @@ def _time_key(item):
     return item
 
 
+def _check_window_ms(window_ms: float) -> None:
+    if not (math.isfinite(window_ms) and window_ms >= 0):
+        raise ValueError(f"window_ms must be finite and >= 0, got {window_ms}")
+
+
 def align_streams(stream_a, stream_b, window_ms: float) -> list[tuple]:
     """Pair two timestamp-sorted streams by greedy nearest timestamp.
 
@@ -112,8 +117,7 @@ def align_streams(stream_a, stream_b, window_ms: float) -> list[tuple]:
     is used at most once. Returns (item_a, item_b) pairs sorted by the
     a-side timestamp. A negative or non-finite ``window_ms`` raises.
     """
-    if not (math.isfinite(window_ms) and window_ms >= 0):
-        raise ValueError(f"window_ms must be finite and >= 0, got {window_ms}")
+    _check_window_ms(window_ms)
     ta = [_time_key(x) for x in stream_a]
     tb = [_time_key(x) for x in stream_b]
     for name, ts in (("stream_a", ta), ("stream_b", tb)):
@@ -278,7 +282,9 @@ def fuse_records(
 
     With two radar ids, the streams are timestamp-aligned and merged before
     clustering; with one, each frame is transformed and denoised alone.
+    A negative or non-finite ``window_ms`` raises in both modes.
     """
+    _check_window_ms(window_ms)
     if len(radar_ids) not in (1, 2):
         raise ValueError("radar_ids must name one or two radars")
     streams = {

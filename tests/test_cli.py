@@ -118,10 +118,13 @@ def test_preprocess_snr_meta_reuse(small_pipeline, tmp_path):
     assert (meta["snr_min"], meta["snr_max"]) == (orig["snr_min"], orig["snr_max"])
 
 
-def test_preprocess_rejects_a_negative_window(small_pipeline, tmp_path):
+@pytest.mark.parametrize("radar_flags", [["--radars", "0"], []], ids=["one-radar", "two-radar"])
+def test_preprocess_rejects_a_negative_window(small_pipeline, tmp_path, radar_flags):
     _, raw, _, _ = small_pipeline
+    out = tmp_path / "f.jsonl"
     with pytest.raises(ValueError, match="window_ms"):
-        main(["preprocess", "--in", str(raw), "--out", str(tmp_path / "f.jsonl"), "--window-ms", "-10"])
+        main(["preprocess", "--in", str(raw), "--out", str(out), "--window-ms", "-10", *radar_flags])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_preprocess_rejects_reversed_snr_meta(small_pipeline, tmp_path):
@@ -154,6 +157,22 @@ def test_eval_cli(small_pipeline, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("dual_mlp,")
     assert (tmp_path / "report.joints.csv").exists()
+
+
+def test_eval_cli_rejects_test_data_scaled_with_other_snr_bounds(small_pipeline, tmp_path):
+    _, _, fused, ckpt = small_pipeline
+    test = tmp_path / "test.jsonl"
+    test.write_bytes(fused.read_bytes())
+    meta = json.loads((fused.parent / (fused.name + ".meta.json")).read_text())
+    trained = (meta["snr_min"], meta["snr_max"])
+    meta["snr_max"] += 1.0
+    (tmp_path / "test.jsonl.meta.json").write_text(json.dumps(meta))
+    report = tmp_path / "report.csv"
+    with pytest.raises(ValueError) as err:
+        main(["eval", "--checkpoint", str(ckpt), "--test", str(test), "--report", str(report)])
+    assert str((meta["snr_min"], meta["snr_max"])) in str(err.value)
+    assert str(trained) in str(err.value)
+    assert not report.exists()
 
 
 def test_ablate_cli_smoke(tmp_path, capsys):

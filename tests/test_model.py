@@ -1,7 +1,12 @@
+import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radarpose.gradcheck import toy_config, variant_inputs
 from radarpose.model import (
@@ -366,6 +371,22 @@ def test_predict_batch_matches_predict():
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _save_version_1(mp, path):
+    """What the version-1 saver wrote: each parameter as a JSON list of numbers."""
+    doc = {
+        "format": "radarpose-checkpoint",
+        "version": 1,
+        "config": asdict(mp.config),
+        "norm": {
+            "gt_min": None if mp.gt_min is None else mp.gt_min.tolist(),
+            "gt_max": None if mp.gt_max is None else mp.gt_max.tolist(),
+            "snr_bounds": None if mp.snr_bounds is None else list(mp.snr_bounds),
+        },
+        "params": {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()} for k, v in mp.params.items()},
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
 def test_checkpoint_roundtrip(tmp_path):
     cfg = toy_config("dual_cnn", seed=18)
     ex = toy_examples(np.random.default_rng(12), cfg, n_frames=5)
@@ -383,6 +404,52 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.snr_bounds == mp.snr_bounds
     # prediction equivalence after reload
     np.testing.assert_array_equal(predict_batch(loaded, ex), predict_batch(mp, ex))
+    # the same parameters always give the same file bytes
+    again = tmp_path / "again.json"
+    save_checkpoint(mp, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_reads_version_1(tmp_path):
+    cfg = toy_config("dual_mlp", seed=19)
+    ex = toy_examples(np.random.default_rng(13), cfg, n_frames=5)
+    mp, _ = train(cfg, ex, Hyper(lr=1e-3, batch=5, epochs=1, seed=6, val_fraction=0.0))
+    mp.snr_bounds = (2.5, 40.0)
+    path = tmp_path / "v1.json"
+    _save_version_1(mp, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    assert loaded.params.keys() == mp.params.keys()
+    for k in mp.params:
+        assert loaded.params[k].tobytes() == mp.params[k].tobytes()
+    assert loaded.gt_min.tobytes() == mp.gt_min.tobytes()
+    assert loaded.gt_max.tobytes() == mp.gt_max.tobytes()
+    assert loaded.snr_bounds == mp.snr_bounds
+    assert predict_batch(loaded, ex).tobytes() == predict_batch(mp, ex).tobytes()
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308]
+_ROUNDTRIP_CFG = toy_config("dual_mlp", seed=23)
+_ROUNDTRIP_SHAPE = init_params(_ROUNDTRIP_CFG).params["head.out.w"].shape
+
+
+@settings(max_examples=60, deadline=None)
+@example(np.resize(np.array(_EDGE_FLOATS), _ROUNDTRIP_SHAPE))
+@given(
+    hnp.arrays(
+        np.float64,
+        _ROUNDTRIP_SHAPE,
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+    )
+)
+def test_checkpoint_roundtrips_any_finite_value_bitwise(tmp_path_factory, values):
+    mp = init_params(_ROUNDTRIP_CFG)
+    mp.params["head.out.w"] = values
+    path = tmp_path_factory.mktemp("roundtrip") / "ckpt.json"
+    save_checkpoint(mp, path)
+    loaded = load_checkpoint(path)
+    for k in mp.params:
+        assert loaded.params[k].tobytes() == mp.params[k].tobytes(), k
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -390,25 +457,64 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+    save_checkpoint(init_params(toy_config("dual_mlp", seed=22)), path)
+    doc = json.loads(path.read_text())
+    doc["version"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
+    mp = init_params(toy_config("dual_cnn", seed=21))
     path = tmp_path / "ckpt.json"
-    save_checkpoint(init_params(toy_config("dual_cnn", seed=21)), path)
+    save_checkpoint(mp, path)
     doc = json.loads(path.read_text())
+    _save_version_1(mp, path)
+    doc_v1 = json.loads(path.read_text())
 
-    def load_edited(edit):
-        bad = json.loads(json.dumps(doc))
-        edit(bad["params"])
+    def load_edited(edit, base=doc):
+        bad = json.loads(json.dumps(base))
+        edit(bad)
         path.write_text(json.dumps(bad))
         return load_checkpoint(path)
 
-    def reshape(params):
-        params["xy.conv1.w"]["shape"] = [2, 2, 1, 9]
+    def reshape(doc):
+        doc["params"]["xy.conv1.w"]["shape"] = [2, 2, 1, 9]
 
+    def set_data(name, data):
+        return lambda doc: doc["params"][name].update({"data": data})
+
+    def set_norm(field, value):
+        return lambda doc: doc["norm"].update({field: value})
+
+    def encode(values):
+        return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+    n_out = mp.params["head.out.b"].size
     with pytest.raises(ValueError, match=r"'xy\.conv1\.w' has shape \(2, 2, 1, 9\)"):
         load_edited(reshape)
     with pytest.raises(ValueError, match=r"lacks parameter 'head\.out\.b'"):
-        load_edited(lambda params: params.pop("head.out.b"))
+        load_edited(lambda doc: doc["params"].pop("head.out.b"))
     with pytest.raises(ValueError, match=r"has parameter 'extra\.w' that its config does not define"):
-        load_edited(lambda params: params.update({"extra.w": {"shape": [1], "data": [0.0]}}))
+        load_edited(lambda doc: doc["params"].update({"extra.w": {"shape": [1], "data": [0.0]}}))
+    # values: base64 text, byte count and finiteness, in both versions
+    with pytest.raises(ValueError, match=r"'head\.out\.b' data is not valid base64"):
+        load_edited(set_data("head.out.b", "AAAA*AAAAAAAAAA="))
+    with pytest.raises(ValueError, match=r"'head\.out\.b' data is not valid base64"):
+        load_edited(set_data("head.out.b", [0.0] * n_out))
+    with pytest.raises(ValueError, match=rf"'head\.out\.b' decodes to {8 * (n_out - 1)} bytes"):
+        load_edited(set_data("head.out.b", encode(np.zeros(n_out - 1))))
+    with pytest.raises(ValueError, match=r"'head\.out\.b' holds nan at flat index 1"):
+        load_edited(set_data("head.out.b", encode([0.0, np.nan] + [0.0] * (n_out - 2))))
+    with pytest.raises(ValueError, match=r"'head\.out\.w' holds inf at flat index 0"):
+        load_edited(set_data("head.out.w", [np.inf] + doc_v1["params"]["head.out.w"]["data"][1:]), base=doc_v1)
+    with pytest.raises(ValueError, match=r"'head\.out\.b' has 5 values"):
+        load_edited(set_data("head.out.b", [0.0] * 5), base=doc_v1)
+    for base in (doc, doc_v1):
+        with pytest.raises(ValueError, match=r"norm field 'gt_min'"):
+            load_edited(set_norm("gt_min", [0.0, np.nan, 1.0]), base=base)
+        with pytest.raises(ValueError, match=r"norm field 'gt_max'"):
+            load_edited(set_norm("gt_max", [0.0, 1.0, -np.inf]), base=base)
+        with pytest.raises(ValueError, match=r"norm field 'snr_bounds'"):
+            load_edited(set_norm("snr_bounds", [np.inf, 40.0]), base=base)
