@@ -103,7 +103,7 @@ def cmd_preprocess(args) -> int:
     bounds = None
     if args.snr_meta:
         meta = json.loads(Path(args.snr_meta).read_text(encoding="utf-8"))
-        bounds = (meta["snr_min"], meta["snr_max"])
+        bounds = _snr_bounds(meta, args.snr_meta, required=True)
     fused = fuse_records(
         records,
         radar_ids=args.radars,
@@ -122,7 +122,7 @@ def cmd_preprocess(args) -> int:
         "n_max": args.n_max,
         "radar_ids": list(args.radars),
     }
-    meta_path = Path(str(args.out) + ".meta.json")
+    meta_path = _meta_path(args.out)
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     print(f"wrote {len(fused)} fused frames to {args.out} (snr affine [{lo:.3f}, {hi:.3f}], meta {meta_path})")
     return 0
@@ -132,19 +132,38 @@ def cmd_preprocess(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _meta_path(path) -> Path:
+    """Where ``preprocess`` writes the meta file of the data at ``path``."""
+    return Path(str(path) + ".meta.json")
+
+
 def _read_meta(path) -> dict:
     """The ``<path>.meta.json`` that ``preprocess`` wrote next to ``path``, or {}."""
-    meta_path = Path(str(path) + ".meta.json")
+    meta_path = _meta_path(path)
     return json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
 
 
+def _snr_bounds(meta: dict, meta_path, required: bool = False):
+    """``(snr_min, snr_max)`` from a preprocess meta file.
+
+    None when the file holds neither field and ``required`` is false; a
+    ``ValueError`` naming the file and the field when one is missing.
+    """
+    missing = [k for k in ("snr_min", "snr_max") if k not in meta]
+    if len(missing) == 2 and not required:
+        return None
+    if missing:
+        raise ValueError(f"{meta_path} has no {missing[0]!r} field; SNR bounds need both snr_min and snr_max")
+    return (meta["snr_min"], meta["snr_max"])
+
+
 def _load_examples(path, n_max):
-    records = read_jsonl(path)
     meta = _read_meta(path)
+    bounds = _snr_bounds(meta, _meta_path(path))
+    records = read_jsonl(path)
     if n_max is None:
         n_max = meta.get("n_max", 64)
     examples = examples_from_frames(frames_from_records(records), n_max)
-    bounds = (meta["snr_min"], meta["snr_max"]) if "snr_min" in meta else None
     return examples, n_max, bounds
 
 
@@ -178,9 +197,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    meta = _read_meta(args.test)
-    if "snr_min" in meta and params.snr_bounds is not None:
-        test_bounds = (meta["snr_min"], meta["snr_max"])
+    test_bounds = _snr_bounds(_read_meta(args.test), _meta_path(args.test))
+    if test_bounds is not None and params.snr_bounds is not None:
         if tuple(params.snr_bounds) != test_bounds:
             raise ValueError(
                 f"{args.test} was SNR-normalized with (snr_min, snr_max) = {test_bounds}, but "

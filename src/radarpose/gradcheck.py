@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .autodiff import Tensor, amax, concat, conv2d, maxpool2d, mse
+from .autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
 from .model import ModelConfig, init_params
 from .scene import JOINT_NAMES
 
@@ -84,7 +84,8 @@ def layer_checks(seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[CheckR
     t_dense = rng.normal(size=(2, 5))
     t_conv = rng.normal(size=(2, 3, 6, 4))
     t_pool = rng.normal(size=(2, 2, 3, 2))
-    t_rows = rng.normal(size=(2, 6))
+    t_rows = rng.normal(size=(3, 6))
+    t_gather = rng.normal(size=(4, 3))
     t_bmm = rng.normal(size=(2, 5, 3))
     t_cat = rng.normal(size=(2, 10))
 
@@ -115,8 +116,13 @@ def layer_checks(seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[CheckR
         ),
         (
             "row_max_pool",
-            lambda ts: mse(amax(ts["x"], 1), t_rows),
-            {"x": rng.normal(size=(2, 7, 6))},
+            lambda ts: mse(amax(ts["x"], np.array([0, 1, 4])), t_rows),  # segments of 1, 3 and 3 rows
+            {"x": rng.normal(size=(7, 6))},
+        ),
+        (
+            "row_gather",
+            lambda ts: mse(gather_rows(ts["x"], np.array([0, 3, 4, 8])), t_gather),
+            {"x": rng.normal(size=(2, 5, 3))},
         ),
         (
             "batched_transform",
@@ -154,10 +160,21 @@ def toy_config(variant: str, seed: int) -> ModelConfig:
     )
 
 
-def variant_inputs(cfg: ModelConfig, rng, batch: int = 2):
+def variant_inputs(cfg: ModelConfig, rng, batch: int = 3):
+    """Random inputs, zero-padded like packed frames: example i keeps
+    ``(n_max, n_max // 2, 0)[i % 3]`` rows, so a batch of 3 holds a full, a
+    partly padded and an all-padding example."""
+    valid = np.array([(cfg.n_max, cfg.n_max // 2, 0)[i % 3] for i in range(batch)])
+    padding = np.arange(cfg.n_max) >= valid[:, None]
+
+    def draw(width):
+        x = rng.normal(size=(batch, cfg.n_max, width))
+        x[padding] = 0.0
+        return x
+
     if cfg.variant == "single_pointnet":
-        return rng.normal(size=(batch, cfg.n_max, 3))
-    return (rng.normal(size=(batch, cfg.n_max, 4)), rng.normal(size=(batch, cfg.n_max, 4)))
+        return draw(3)
+    return (draw(4), draw(4))
 
 
 def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, h=DEFAULT_H) -> CheckResult:
@@ -170,7 +187,7 @@ def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     for key in mp.params:
         mp.params[key] = mp.params[key] + 0.05 * rng.normal(size=mp.params[key].shape)
     inputs, _ = model._prepare_inputs(cfg, variant_inputs(cfg, rng))
-    gt = rng.uniform(0, 1, size=(2, cfg.output_width))
+    gt = rng.uniform(0, 1, size=(3, cfg.output_width))
     return check_function(
         f"variant:{variant}",
         lambda ts: mse(model._forward_graph(cfg, ts, inputs), gt),

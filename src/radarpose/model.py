@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, amax, concat, conv2d, maxpool2d, mse
+from .autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
 from .pointcloud import FusedFrame, ViewPair, build_cloud, build_views
 from .scene import DEFAULT_EXCLUDED_JOINTS, JOINT_INDEX, JOINT_NAMES, N_JOINTS
 
@@ -108,63 +108,77 @@ class ModelParams:
 # initialization
 # ---------------------------------------------------------------------------
 
-def _dense_init(rng, fan_in, fan_out, out: dict, name: str):
-    out[f"{name}.w"] = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-    out[f"{name}.b"] = np.zeros(fan_out)
+def _dense_layout(layout: dict, name: str, fan_in: int, fan_out: int):
+    layout[f"{name}.w"] = ((fan_in, fan_out), fan_in)
+    layout[f"{name}.b"] = ((fan_out,), "zeros")
 
 
-def _tnet_init(rng, cfg: ModelConfig, out: dict, prefix: str):
+def _tnet_layout(cfg: ModelConfig, layout: dict, prefix: str):
     dim = cfg.tnet_dim
     width = dim
     for i, w in enumerate(cfg.tnet_row_spec):
-        _dense_init(rng, width, w, out, f"{prefix}.row{i}")
+        _dense_layout(layout, f"{prefix}.row{i}", width, w)
         width = w
     for i, w in enumerate(cfg.tnet_head_spec):
-        _dense_init(rng, width, w, out, f"{prefix}.head{i}")
+        _dense_layout(layout, f"{prefix}.head{i}", width, w)
         width = w
     # final layer starts as the exact identity transform
-    out[f"{prefix}.out.w"] = np.zeros((width, dim * dim))
-    out[f"{prefix}.out.b"] = np.eye(dim).reshape(-1).copy()
+    layout[f"{prefix}.out.w"] = ((width, dim * dim), "zeros")
+    layout[f"{prefix}.out.b"] = ((dim * dim,), "identity")
 
 
-def init_params(cfg: ModelConfig) -> ModelParams:
-    """Fresh parameters; deterministic in ``cfg.seed``."""
-    rng = np.random.default_rng(cfg.seed)
-    p: dict = {}
+def param_layout(cfg: ModelConfig) -> dict:
+    """Name -> (shape, init) of every parameter, in the order they are drawn.
+
+    ``init`` is a fan-in (a He-normal draw with std sqrt(2 / fan_in)),
+    ``"zeros"`` or ``"identity"`` (a flattened identity matrix).
+    """
+    layout: dict = {}
     if cfg.variant == "dual_cnn":
         for br in cfg.branches:
-            _tnet_init(rng, cfg, p, f"{br}.tnet")
+            _tnet_layout(cfg, layout, f"{br}.tnet")
             c_in = 1
             for i, (channels, kernel, _pool) in enumerate(cfg.conv_spec):
-                fan_in = c_in * kernel * kernel
-                p[f"{br}.conv{i}.w"] = rng.normal(
-                    0.0, math.sqrt(2.0 / fan_in), size=(channels, c_in, kernel, kernel)
-                )
-                p[f"{br}.conv{i}.b"] = np.zeros(channels)
+                layout[f"{br}.conv{i}.w"] = ((channels, c_in, kernel, kernel), c_in * kernel * kernel)
+                layout[f"{br}.conv{i}.b"] = ((channels,), "zeros")
                 c_in = channels
         feat = 2 * _conv_flat_size(cfg)
     elif cfg.variant == "dual_mlp":
         for br in cfg.branches:
-            _tnet_init(rng, cfg, p, f"{br}.tnet")
+            _tnet_layout(cfg, layout, f"{br}.tnet")
             width = 4
             for i, w in enumerate(cfg.row_mlp_spec):
-                _dense_init(rng, width, w, p, f"{br}.row{i}")
+                _dense_layout(layout, f"{br}.row{i}", width, w)
                 width = w
         feat = 2 * cfg.row_mlp_spec[-1]
     else:
-        _tnet_init(rng, cfg, p, "cloud.tnet")
+        _tnet_layout(cfg, layout, "cloud.tnet")
         width = 3
         for i, w in enumerate(cfg.pointnet_mlp_spec):
-            _dense_init(rng, width, w, p, f"cloud.mlp{i}")
+            _dense_layout(layout, f"cloud.mlp{i}", width, w)
             width = w
         feat = cfg.pointnet_mlp_spec[-1]
 
     head_spec = cfg.pointnet_head_spec if cfg.variant == "single_pointnet" else cfg.mlp_head_spec
     width = feat
     for i, w in enumerate(head_spec):
-        _dense_init(rng, width, w, p, f"head.fc{i}")
+        _dense_layout(layout, f"head.fc{i}", width, w)
         width = w
-    _dense_init(rng, width, cfg.output_width, p, "head.out")
+    _dense_layout(layout, "head.out", width, cfg.output_width)
+    return layout
+
+
+def init_params(cfg: ModelConfig) -> ModelParams:
+    """Fresh parameters; deterministic in ``cfg.seed``."""
+    rng = np.random.default_rng(cfg.seed)
+    p: dict = {}
+    for name, (shape, init) in param_layout(cfg).items():
+        if init == "zeros":
+            p[name] = np.zeros(shape)
+        elif init == "identity":
+            p[name] = np.eye(cfg.tnet_dim).reshape(-1)
+        else:
+            p[name] = rng.normal(0.0, math.sqrt(2.0 / init), size=shape)
     return ModelParams(config=cfg, params=p)
 
 
@@ -181,13 +195,29 @@ def _conv_flat_size(cfg: ModelConfig) -> int:
 # graph construction
 # ---------------------------------------------------------------------------
 
-def _tnet_graph(view: Tensor, pt: dict, cfg: ModelConfig, prefix: str):
-    """(B, N, D) -> (transformed (B, N, D), transform (B, D, D))."""
+def _kept_rows(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a zero-padded (B, N, D) batch that the row networks see.
+
+    A row is kept if it is non-zero, or if it is the first all-zero row of
+    its example. A row network maps every all-zero row of an example to the
+    same vector, so the later ones cannot change that example's max, and the
+    first one is where a tie would send the gradient anyway. Returns the kept
+    rows' indices into the (B*N, D) flattening, in order, and the (B,) index
+    of each example's first kept row among them.
+    """
+    zero = ~(view != 0).any(axis=-1)
+    keep = ~zero | (np.cumsum(zero, axis=1) == 1)
+    counts = keep.sum(axis=1)
+    return np.flatnonzero(keep), np.cumsum(counts) - counts
+
+
+def _tnet_graph(view: Tensor, rows: np.ndarray, starts: np.ndarray, pt: dict, cfg: ModelConfig, prefix: str):
+    """(B, N, D) view and its kept rows -> (transformed (B, N, D), transform (B, D, D))."""
     dim = cfg.tnet_dim
-    h = view
+    h = Tensor(view.data.reshape(-1, dim)[rows])
     for i in range(len(cfg.tnet_row_spec)):
         h = (h @ pt[f"{prefix}.row{i}.w"] + pt[f"{prefix}.row{i}.b"]).relu()
-    pooled = amax(h, axis=1)
+    pooled = amax(h, starts)
     for i in range(len(cfg.tnet_head_spec)):
         pooled = (pooled @ pt[f"{prefix}.head{i}.w"] + pt[f"{prefix}.head{i}.b"]).relu()
     tvals = pooled @ pt[f"{prefix}.out.w"] + pt[f"{prefix}.out.b"]
@@ -195,27 +225,32 @@ def _tnet_graph(view: Tensor, pt: dict, cfg: ModelConfig, prefix: str):
     return view @ transform, transform
 
 
+def _pooled_rows(view: Tensor, pt: dict, cfg: ModelConfig, br: str, layers: list) -> Tensor:
+    """TNet, the shared row MLP ``layers`` on the kept rows, then each example's max: (B, C)."""
+    rows, starts = _kept_rows(view.data)
+    h, _ = _tnet_graph(view, rows, starts, pt, cfg, f"{br}.tnet")
+    h = gather_rows(h, rows)
+    for name in layers:
+        h = (h @ pt[f"{name}.w"] + pt[f"{name}.b"]).relu()
+    return amax(h, starts)
+
+
 def _branch_graph(view: Tensor, pt: dict, cfg: ModelConfig, br: str) -> Tensor:
+    if cfg.variant == "dual_mlp":
+        return _pooled_rows(view, pt, cfg, br, [f"{br}.row{i}" for i in range(len(cfg.row_mlp_spec))])
     batch = view.shape[0]
-    h, _ = _tnet_graph(view, pt, cfg, f"{br}.tnet")
-    if cfg.variant == "dual_cnn":
-        img = h.reshape((batch, 1, cfg.n_max, 4))
-        for i, (_channels, _kernel, pool) in enumerate(cfg.conv_spec):
-            img = conv2d(img, pt[f"{br}.conv{i}.w"], pt[f"{br}.conv{i}.b"]).relu()
-            img = maxpool2d(img, pool)
-        return img.reshape((batch, _conv_flat_size(cfg)))
-    # dual_mlp: shared row MLP then order-invariant global max pool
-    for i in range(len(cfg.row_mlp_spec)):
-        h = (h @ pt[f"{br}.row{i}.w"] + pt[f"{br}.row{i}.b"]).relu()
-    return amax(h, axis=1)
+    h, _ = _tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{br}.tnet")
+    img = h.reshape((batch, 1, cfg.n_max, 4))
+    for i, (_channels, _kernel, pool) in enumerate(cfg.conv_spec):
+        img = conv2d(img, pt[f"{br}.conv{i}.w"], pt[f"{br}.conv{i}.b"]).relu()
+        img = maxpool2d(img, pool)
+    return img.reshape((batch, _conv_flat_size(cfg)))
 
 
 def _forward_graph(cfg: ModelConfig, pt: dict, inputs: dict) -> Tensor:
     if cfg.variant == "single_pointnet":
-        h, _ = _tnet_graph(inputs["cloud"], pt, cfg, "cloud.tnet")
-        for i in range(len(cfg.pointnet_mlp_spec)):
-            h = (h @ pt[f"cloud.mlp{i}.w"] + pt[f"cloud.mlp{i}.b"]).relu()
-        h = amax(h, axis=1)
+        layers = [f"cloud.mlp{i}" for i in range(len(cfg.pointnet_mlp_spec))]
+        h = _pooled_rows(inputs["cloud"], pt, cfg, "cloud", layers)
         head_spec = cfg.pointnet_head_spec
     else:
         h = concat([_branch_graph(inputs[br], pt, cfg, br) for br in cfg.branches], axis=1)
@@ -269,7 +304,9 @@ def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = Non
     batched = view[None] if single else view
     if batched.shape[2] != cfg.tnet_dim:
         raise ValueError(f"view feature width {batched.shape[2]} != tnet dim {cfg.tnet_dim}")
-    out, transform = _tnet_graph(Tensor(batched), _wrap_params(params.params), cfg, f"{branch}.tnet")
+    out, transform = _tnet_graph(
+        Tensor(batched), *_kept_rows(batched), _wrap_params(params.params), cfg, f"{branch}.tnet"
+    )
     if single:
         return out.data[0], transform.data[0]
     return out.data, transform.data
@@ -605,7 +642,15 @@ def _stored_values(path, name: str, entry: dict, version: int, shape: tuple) -> 
         )
     size = math.prod(shape)
     if version == 1:
-        values = np.asarray(entry["data"], dtype=float)
+        data = entry["data"]
+        if not isinstance(data, list):
+            raise ValueError(f"checkpoint {path}: parameter {name!r} data is not a JSON list of numbers")
+        bad = next((i for i, x in enumerate(data) if type(x) not in (float, int)), None)
+        if bad is not None:
+            raise ValueError(
+                f"checkpoint {path}: parameter {name!r} holds {data[bad]!r} at flat index {bad}, not a JSON number"
+            )
+        values = np.asarray(data, dtype=float)
         if values.size != size:
             raise ValueError(f"checkpoint {path}: parameter {name!r} has {values.size} values; {shape} needs {size}")
     else:
@@ -640,10 +685,10 @@ def load_checkpoint(path) -> ModelParams:
     cfg = _config_from_dict(doc["config"])
     stored = doc["params"]
     params = {}
-    for k, ref in init_params(cfg).params.items():
+    for k, (shape, _init) in param_layout(cfg).items():
         if k not in stored:
             raise ValueError(f"checkpoint {path} lacks parameter {k!r} that its config needs")
-        params[k] = _stored_values(path, k, stored[k], version, ref.shape)
+        params[k] = _stored_values(path, k, stored[k], version, shape)
     extra = [k for k in stored if k not in params]
     if extra:
         raise ValueError(f"checkpoint {path} has parameter {extra[0]!r} that its config does not define")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radarpose.autodiff import Tensor, amax, concat, conv2d, maxpool2d, mse
+from radarpose.autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
 
 
 def numgrad(f, x, h=1e-6):
@@ -82,14 +82,44 @@ def test_reshape_and_concat_grad():
 
 def test_amax_grad_routes_to_argmax():
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 5, 4))
-    check_grads(lambda x: amax(x, axis=1).mean(), [a])
+    a = rng.normal(size=(12, 4))
+    starts = np.array([0, 5, 6])  # segments of 5, 1 and 6 rows
+    check_grads(lambda x: amax(x, starts).mean(), [a])
+    np.testing.assert_array_equal(amax(Tensor(a), starts).data, [a[:5].max(0), a[5], a[6:].max(0)])
 
 
 def test_amax_tie_takes_first():
-    t = Tensor(np.array([[2.0, 2.0, 1.0]]))
-    amax(t, axis=1).mean().backward()
-    np.testing.assert_array_equal(t.grad, [[1.0, 0.0, 0.0]])
+    t = Tensor(np.array([[2.0], [2.0], [1.0]]))
+    amax(t, np.array([0])).mean().backward()
+    np.testing.assert_array_equal(t.grad, [[1.0], [0.0], [0.0]])
+
+
+def test_segment_amax_ties_send_the_gradient_to_the_lowest_row_only():
+    t = Tensor(np.array([
+        [1.0, 5.0], [3.0, 5.0], [3.0, 2.0],  # segment 0: both columns tie
+        [7.0, 7.0], [7.0, 7.0],  # segment 1: two identical rows
+    ]))
+    out = amax(t, np.array([0, 3]))
+    np.testing.assert_array_equal(out.data, [[3.0, 5.0], [7.0, 7.0]])
+    (out * np.array([[1.0, 2.0], [3.0, 4.0]])).mean().backward()
+    np.testing.assert_array_equal(t.grad, [[0.0, 0.5], [0.25, 0.0], [0.0, 0.0], [0.75, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3, 1], [0, 4]])
+def test_amax_rejects_empty_or_unordered_segments(starts):
+    with pytest.raises(ValueError, match="non-empty segments"):
+        amax(Tensor(np.zeros((4, 2))), np.array(starts, dtype=int))
+
+
+def test_gather_rows_grad_scatters_into_zeros():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(2, 4, 3))
+    rows = np.array([0, 2, 3, 5])
+    check_grads(lambda x: (gather_rows(x, rows) * gather_rows(x, rows)).mean(), [a])
+    np.testing.assert_array_equal(gather_rows(Tensor(a), rows).data, a.reshape(8, 3)[rows])
+    t = Tensor(a)
+    gather_rows(t, rows).mean().backward()
+    assert not t.grad.reshape(8, 3)[[1, 4, 6, 7]].any()
 
 
 def test_conv2d_grad():
@@ -175,8 +205,8 @@ def test_composite_network_grad():
     target = rng.normal(size=(2, 4))
 
     def build(xt, w1t, b1t, w2t):
-        h = (xt @ w1t + b1t).relu()
-        pooled = amax(h, axis=1)
+        h = (gather_rows(xt, np.array([0, 2, 3, 6, 7, 8, 11])) @ w1t + b1t).relu()
+        pooled = amax(h, np.array([0, 3]))
         return mse(pooled @ w2t, target)
 
     check_grads(build, [x, w1, b1, w2], rtol=1e-5, atol=1e-8)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -133,6 +134,36 @@ def test_preprocess_rejects_reversed_snr_meta(small_pipeline, tmp_path):
     meta.write_text(json.dumps({"snr_min": 40, "snr_max": 10}))
     out = tmp_path / "f.jsonl"
     with pytest.raises(ValueError, match="snr_min=40, snr_max=10"):
+        main(["preprocess", "--in", str(raw), "--out", str(out), "--snr-meta", str(meta)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
+def test_a_meta_file_with_one_snr_bound_names_the_missing_field(small_pipeline, tmp_path, command):
+    _, raw, fused, ckpt = small_pipeline
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(fused.read_bytes())
+    meta = json.loads((fused.parent / (fused.name + ".meta.json")).read_text())
+    del meta["snr_max"]
+    meta_path = tmp_path / "data.jsonl.meta.json"
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "out.json"
+    argv = {
+        "preprocess": ["preprocess", "--in", str(raw), "--out", str(out), "--snr-meta", str(meta_path)],
+        "train": ["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(out)],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--test", str(data), "--report", str(out)],
+    }[command]
+    with pytest.raises(ValueError, match=re.escape(f"{meta_path} has no 'snr_max' field")):
+        main(argv)
+    assert not out.exists()
+
+
+def test_preprocess_snr_meta_without_bounds_is_an_error(small_pipeline, tmp_path):
+    _, raw, _, _ = small_pipeline
+    meta = tmp_path / "empty.meta.json"
+    meta.write_text(json.dumps({"n_max": 16}))
+    out = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match=re.escape(f"{meta} has no 'snr_min' field")):
         main(["preprocess", "--in", str(raw), "--out", str(out), "--snr-meta", str(meta)])
     assert not out.exists()
 

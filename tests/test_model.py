@@ -1,4 +1,5 @@
 import base64
+import gc
 import json
 from dataclasses import asdict
 
@@ -8,18 +9,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from radarpose import model as model_module
+from radarpose.autodiff import Tensor, concat, conv2d, maxpool2d, mse
 from radarpose.gradcheck import toy_config, variant_inputs
 from radarpose.model import (
     ExampleSet,
     _adam_step,
     _flatten,
+    _kept_rows,
     Hyper,
     ModelConfig,
+    VARIANTS,
     backward,
+    examples_from_frames,
     forward,
     init_params,
     load_checkpoint,
     mse_loss,
+    param_layout,
     predict,
     predict_batch,
     save_checkpoint,
@@ -68,6 +75,17 @@ def test_config_output_cap_and_validation():
         ModelConfig(conv_spec=((8, 4, 2),))  # even kernel
     with pytest.raises(ValueError):
         ModelConfig(conv_spec=((8, 3, 2), (8, 3, 2), (8, 3, 2)))  # view shrinks to 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_param_layout_is_what_init_params_fills_in_order(variant):
+    cfg = ModelConfig(variant=variant)
+    layout = param_layout(cfg)
+    params = init_params(cfg).params
+    assert [(k, shape) for k, (shape, _init) in layout.items()] == [(k, v.shape) for k, v in params.items()]
+    for k, (_shape, init) in layout.items():
+        if init == "zeros":
+            assert not params[k].any(), k
 
 
 def test_tnet_dim_follows_variant():
@@ -189,6 +207,24 @@ def test_backward_zero_at_perfect_prediction():
     assert all(not g.any() for g in grads.values())
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_step_leaves_no_reference_cycle(variant):
+    # a tape op whose closure holds its own output node would keep every
+    # step's tape alive until the cycle collector runs, inflating peak memory
+    cfg = toy_config(variant, seed=38)
+    mp = init_params(cfg)
+    rng = np.random.default_rng(39)
+    inputs = variant_inputs(cfg, rng)
+    gt = rng.uniform(size=(3, cfg.output_width))
+    gc.collect()
+    gc.disable()
+    try:
+        backward(cfg, mp, inputs, gt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_backward_frozen_branch_conv_weights_get_no_gradient():
     cfg = toy_config("dual_cnn", seed=8)
     mp = init_params(cfg)
@@ -200,6 +236,138 @@ def test_backward_frozen_branch_conv_weights_get_no_gradient():
     for i in range(len(cfg.conv_spec)):
         assert not grads[f"yz.conv{i}.w"].any()  # zero input, zero activations
         assert grads[f"xy.conv{i}.w"].any()
+
+
+# ---------------------------------------------------------------------------
+# padding compaction
+# ---------------------------------------------------------------------------
+
+def _axis_max(t: Tensor) -> Tensor:
+    """Max over the rows of a padded (B, N, C) batch, gradient to the first argmax."""
+    idx = np.argmax(t.data, axis=1)[:, None]
+    out = Tensor(np.take_along_axis(t.data, idx, axis=1)[:, 0], _parents=(t,))
+
+    def grad(g):
+        full = np.zeros_like(t.data)
+        np.put_along_axis(full, idx, g[:, None], axis=1)
+        return (full,)
+
+    out._backward = grad
+    return out
+
+
+def _padded_tnet(view, pt, cfg, prefix):
+    h = view
+    for i in range(len(cfg.tnet_row_spec)):
+        h = (h @ pt[f"{prefix}.row{i}.w"] + pt[f"{prefix}.row{i}.b"]).relu()
+    pooled = _axis_max(h)
+    for i in range(len(cfg.tnet_head_spec)):
+        pooled = (pooled @ pt[f"{prefix}.head{i}.w"] + pt[f"{prefix}.head{i}.b"]).relu()
+    transform = (pooled @ pt[f"{prefix}.out.w"] + pt[f"{prefix}.out.b"]).reshape((-1, cfg.tnet_dim, cfg.tnet_dim))
+    return view @ transform, transform
+
+
+def _padded_graph(cfg, pt, inputs):
+    """The three networks on every padded row: the oracle compaction must match."""
+    def rows_then_max(h, names):
+        for name in names:
+            h = (h @ pt[f"{name}.w"] + pt[f"{name}.b"]).relu()
+        return _axis_max(h)
+
+    if cfg.variant == "single_pointnet":
+        h, _ = _padded_tnet(inputs["cloud"], pt, cfg, "cloud.tnet")
+        h = rows_then_max(h, [f"cloud.mlp{i}" for i in range(len(cfg.pointnet_mlp_spec))])
+        head_spec = cfg.pointnet_head_spec
+    else:
+        feats = []
+        for br in cfg.branches:
+            batch = inputs[br].shape[0]
+            h, _ = _padded_tnet(inputs[br], pt, cfg, f"{br}.tnet")
+            if cfg.variant == "dual_mlp":
+                feats.append(rows_then_max(h, [f"{br}.row{i}" for i in range(len(cfg.row_mlp_spec))]))
+                continue
+            img = h.reshape((batch, 1, cfg.n_max, 4))
+            for i, (_channels, _kernel, pool) in enumerate(cfg.conv_spec):
+                img = maxpool2d(conv2d(img, pt[f"{br}.conv{i}.w"], pt[f"{br}.conv{i}.b"]).relu(), pool)
+            feats.append(img.reshape((batch, -1)))
+        h = concat(feats, axis=1)
+        head_spec = cfg.mlp_head_spec
+    for i in range(len(head_spec)):
+        h = (h @ pt[f"head.fc{i}.w"] + pt[f"head.fc{i}.b"]).relu()
+    return h @ pt["head.out.w"] + pt["head.out.b"]
+
+
+def _packed_examples(n_max, seed):
+    """examples_from_frames output with 0, 1, a partial count and n_max + 3 (truncated) points."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i, n in enumerate((0, 1, n_max // 2 - 1, n_max + 3, 5)):
+        points = np.column_stack([
+            rng.uniform(-1.0, 1.0, n), rng.uniform(1.5, 4.0, n), rng.uniform(0.0, 1.8, n),
+            rng.normal(0.0, 0.5, n), rng.uniform(0.0, 1.0, n),
+        ])
+        gt = rng.uniform([-1.0, 1.9, 0.0], [1.0, 3.5, 1.8], size=(32, 3))
+        frames.append(FusedFrame(points=points, timestamp_ms=50 * i, gt=gt, frame_id=i))
+    return examples_from_frames(frames, n_max)
+
+
+def _trained_like(cfg, seed):
+    mp = init_params(cfg)
+    rng = np.random.default_rng(seed)
+    for k in mp.params:
+        mp.params[k] = mp.params[k] + 0.05 * rng.normal(size=mp.params[k].shape)
+    mp.gt_min, mp.gt_max = np.array([-1.0, 1.9, 0.0]), np.array([1.0, 3.5, 1.8])
+    return mp
+
+
+def test_kept_rows_are_the_points_and_the_first_zero_row():
+    view = np.zeros((3, 5, 2))
+    view[0, [0, 2]] = 1.0  # a zero row between points is the kept padding row
+    view[1] = 2.0  # no padding at all
+    view[2, 0] = -0.0  # -0.0 counts as zero: this is the kept padding row
+    view[2, 1] = 3.0
+    rows, starts = _kept_rows(view)
+    assert rows.tolist() == [0, 1, 2, 5, 6, 7, 8, 9, 10, 11]
+    assert starts.tolist() == [0, 3, 8]
+
+
+@pytest.mark.parametrize("small", [True, False], ids=["toy", "default-size"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compacted_forward_is_bitwise_the_padded_graph(variant, small):
+    cfg = toy_config(variant, seed=31) if small else ModelConfig(variant=variant, seed=31)
+    ex = _packed_examples(cfg.n_max, seed=32)
+    valid = (ex.cloud != 0).any(axis=-1).sum(axis=1)
+    assert valid.min() == 0 and valid.max() == cfg.n_max and ((valid > 0) & (valid < cfg.n_max)).any()
+    mp = _trained_like(cfg, seed=33)
+    inputs, _ = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
+    oracle = _padded_graph(cfg, model_module._wrap_params(mp.params), inputs).data
+    assert forward(cfg, mp, ex.inputs_for(cfg)).tobytes() == oracle.tobytes()
+    expected = model_module._denormalize(cfg, oracle, mp.gt_min, mp.gt_max)
+    assert predict_batch(mp, ex).tobytes() == expected.tobytes()
+    for br in cfg.branches:
+        view = inputs[br]
+        out, transform = tnet_forward(view.data, mp, br)
+        ref_out, ref_transform = _padded_tnet(view, model_module._wrap_params(mp.params), cfg, f"{br}.tnet")
+        assert out.tobytes() == ref_out.data.tobytes()
+        assert transform.tobytes() == ref_transform.data.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compacted_gradients_match_the_padded_graph(variant):
+    # the dropped rows carry exact zero gradient; the kept ones sum in another order
+    cfg = toy_config(variant, seed=34)
+    ex = _packed_examples(cfg.n_max, seed=35)
+    mp = _trained_like(cfg, seed=36)
+    gt = np.random.default_rng(37).uniform(size=(len(ex), cfg.output_width))
+    loss, grads = backward(cfg, mp, ex.inputs_for(cfg), gt)
+    pt = model_module._wrap_params(mp.params)
+    inputs, _ = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
+    ref = mse(_padded_graph(cfg, pt, inputs), gt)
+    ref.backward()
+    assert loss == float(ref.data)
+    for k, t in pt.items():
+        scale = np.abs(t.grad).max()
+        np.testing.assert_allclose(grads[k], t.grad, rtol=0, atol=1e-12 * scale, err_msg=k)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +620,20 @@ def test_checkpoint_roundtrips_any_finite_value_bitwise(tmp_path_factory, values
         assert loaded.params[k].tobytes() == mp.params[k].tobytes(), k
 
 
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    mp = init_params(toy_config("single_pointnet", seed=24))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(mp, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(model_module.np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)
+    for k in mp.params:
+        assert loaded.params[k].tobytes() == mp.params[k].tobytes(), k
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
@@ -511,6 +693,13 @@ def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
         load_edited(set_data("head.out.w", [np.inf] + doc_v1["params"]["head.out.w"]["data"][1:]), base=doc_v1)
     with pytest.raises(ValueError, match=r"'head\.out\.b' has 5 values"):
         load_edited(set_data("head.out.b", [0.0] * 5), base=doc_v1)
+    # version 1 data is JSON numbers, not strings that happen to parse as floats
+    with pytest.raises(ValueError, match=r"'head\.out\.b' holds '0\.5' at flat index 1, not a JSON number"):
+        load_edited(set_data("head.out.b", [0.0, "0.5"] + [0.0] * (n_out - 2)), base=doc_v1)
+    with pytest.raises(ValueError, match=r"'head\.out\.b' holds True at flat index 0, not a JSON number"):
+        load_edited(set_data("head.out.b", [True] + [0.0] * (n_out - 1)), base=doc_v1)
+    with pytest.raises(ValueError, match=r"'head\.out\.b' data is not a JSON list of numbers"):
+        load_edited(set_data("head.out.b", encode(np.zeros(n_out))), base=doc_v1)
     for base in (doc, doc_v1):
         with pytest.raises(ValueError, match=r"norm field 'gt_min'"):
             load_edited(set_norm("gt_min", [0.0, np.nan, 1.0]), base=base)
