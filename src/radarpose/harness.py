@@ -389,6 +389,7 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
     (rows ordered as in ABLATION_ROWS, plus the mean-pose baseline) and
     leaves CSV writing to the caller.
     """
+    hyper = Hyper(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs, seed=cfg.train_seed)  # checked before simulating
     workdir = Path(cfg.workdir)
     out_dir = None
     if cfg.keep_files:
@@ -413,7 +414,6 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
             "snr_bounds": bounds,
         }
 
-    hyper = Hyper(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs, seed=cfg.train_seed)
     joint_sets = JointSets()
     report = MetricsReport(rows=[])
 

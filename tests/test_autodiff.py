@@ -122,6 +122,127 @@ def test_gather_rows_grad_scatters_into_zeros():
     assert not t.grad.reshape(8, 3)[[1, 4, 6, 7]].any()
 
 
+# ---------------------------------------------------------------------------
+# reference kernels: the earlier forms that the kernels must match bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_conv2d(x, w, b):
+    """conv2d padded with ``np.pad``; otherwise the same im2col and GEMMs."""
+    batch, c_in, h, wd = x.data.shape
+    c_out, _, kh, kw = w.data.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h * wd, c_in * kh * kw)
+    wmat = w.data.reshape(c_out, -1)
+    out_data = (cols @ wmat.T + b.data).reshape(batch, h, wd, c_out).transpose(0, 3, 1, 2)
+    out = Tensor(out_data, _parents=(x, w, b))
+
+    def backward(g):
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(batch * h * wd, c_out)
+        gw = (g2.T @ cols).reshape(w.data.shape)
+        gb = g2.sum(axis=0)
+        gwin = (g2 @ wmat).reshape(batch, h, wd, c_in, kh, kw).transpose(4, 5, 0, 3, 2, 1)
+        gx_t = np.zeros((batch, c_in, wd + 2 * pw, h + 2 * ph))
+        for di in range(kh):
+            for dj in range(kw):
+                gx_t[:, :, dj : dj + wd, di : di + h] += gwin[di, dj]
+        return gx_t[:, :, pw : pw + wd, ph : ph + h].transpose(0, 1, 3, 2), gw, gb
+
+    out._backward = backward
+    return out
+
+
+def reference_maxpool2d(x, size=2):
+    """maxpool2d through reshape copies, ``argmax`` and take/put_along_axis."""
+    batch, ch, h, w = x.data.shape
+    h2, w2 = h // size, w // size
+    crop = x.data[:, :, : h2 * size, : w2 * size]
+    windows = crop.reshape(batch, ch, h2, size, w2, size).transpose(0, 1, 2, 4, 3, 5)
+    flat = windows.reshape(batch, ch, h2, w2, size * size)
+    idx = np.argmax(flat, axis=-1)
+    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], _parents=(x,))
+
+    def backward(g):
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
+        gwin = gflat.reshape(batch, ch, h2, w2, size, size).transpose(0, 1, 2, 4, 3, 5)
+        gx = np.zeros_like(x.data)
+        gx[:, :, : h2 * size, : w2 * size] = gwin.reshape(batch, ch, h2 * size, w2 * size)
+        return (gx,)
+
+    out._backward = backward
+    return out
+
+
+def _channels_last(a):
+    """``a`` with the same values, stored (B, H, W, C) like conv2d -> relu output."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _pool_input(case, rng):
+    shape = (3, 4, 7, 5) if case == "odd" else (3, 4, 12, 6)
+    x = rng.normal(size=shape)
+    if case == "ties":
+        x = rng.integers(-1, 2, size=shape).astype(float)
+    elif case == "relu":  # many all-zero windows, with signed zeros among the ties
+        x = np.maximum(x - 1.0, 0.0)
+        x[(x == 0) & (rng.uniform(size=shape) < 0.3)] = -0.0
+    elif case == "nan":
+        x[0, 0, 1, 1] = np.nan  # last offset of a 2x2 window, second row of a 3x3 one
+        x[1, 2, 4, 0] = x[1, 2, 5, 1] = np.nan  # two NaNs in one window
+        x[2, 3, 0, 0] = np.nan  # first offset
+    return x
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("case", ["random", "ties", "relu", "nan", "odd"])
+def test_maxpool2d_is_bitwise_the_argmax_oracle(case, size, layout):
+    rng = np.random.default_rng(31)
+    x = _pool_input(case, rng)
+    if layout == "channels_last":
+        x = _channels_last(x)
+    out, ref = maxpool2d(Tensor(x), size), reference_maxpool2d(Tensor(x), size)
+    assert out.shape == ref.shape
+    assert out.data.tobytes() == ref.data.tobytes()
+    stored = out.data.transpose(0, 2, 3, 1) if layout == "channels_last" else out.data
+    assert stored.flags.c_contiguous
+    g = rng.normal(size=out.shape)
+    (gx,), (gx_ref,) = out._backward(g), ref._backward(g)
+    assert gx.shape == x.shape
+    assert gx.tobytes() == gx_ref.tobytes()
+    if case == "nan":
+        assert np.isnan(out.data).sum() == 3
+
+
+def test_maxpool2d_rejects_a_window_below_one():
+    x = Tensor(np.zeros((1, 1, 4, 4)))
+    for size in (0, -2):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            maxpool2d(x, size)
+    assert maxpool2d(x, 1).data.tobytes() == x.data.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+@pytest.mark.parametrize("shape, c_out, kernel", [
+    ((10, 1, 64, 4), 16, (3, 3)), ((10, 16, 32, 2), 32, (3, 3)), ((2, 3, 5, 4), 4, (1, 1)), ((2, 3, 5, 4), 4, (5, 3)),
+])
+def test_conv2d_is_bitwise_the_np_pad_oracle(shape, c_out, kernel, layout):
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=shape)
+    if layout == "channels_last":
+        x = _channels_last(x)
+    w = rng.normal(size=(c_out, shape[1], *kernel))
+    b = rng.normal(size=c_out)
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b))
+    ref = reference_conv2d(Tensor(x), Tensor(w), Tensor(b))
+    assert out.data.tobytes() == ref.data.tobytes()
+    g = rng.normal(size=out.shape)
+    for got, want in zip(out._backward(g), ref._backward(g)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_conv2d_grad():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 3, 6, 4))

@@ -168,6 +168,34 @@ def test_preprocess_snr_meta_without_bounds_is_an_error(small_pipeline, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--batch", "0", "batch"),
+    ("--batch", "-4", "batch"),
+    ("--epochs", "0", "epochs"),
+    ("--epochs", "-1", "epochs"),
+    ("--lr", "-1", "lr"),
+    ("--lr", "nan", "lr"),
+    ("--lr", "inf", "lr"),
+    ("--val-fraction", "-0.5", "val_fraction"),
+    ("--val-fraction", "1", "val_fraction"),
+    ("--stop-loss", "nan", "stop_loss"),
+])
+def test_train_rejects_a_bad_hyperparameter_naming_it(small_pipeline, tmp_path, flag, value, field):
+    _, _, fused, _ = small_pipeline
+    out = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        main(["train", "--data", str(fused), "--epochs", "1", "--checkpoint", str(out), f"{flag}={value}"])
+    assert not out.exists()
+
+
+def test_ablate_rejects_a_bad_hyperparameter_before_simulating(tmp_path):
+    work = tmp_path / "work"
+    with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0"):
+        main(["ablate", "--batch", "0", "--frames", "16", "--test-frames", "8", "--workdir", str(work),
+              "--out-csv", str(tmp_path / "a.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_cli_checkpoint_and_svg(small_pipeline):
     root, _, _, ckpt = small_pipeline
     params = load_checkpoint(ckpt)

@@ -13,6 +13,7 @@ from radarpose import model as model_module
 from radarpose.autodiff import Tensor, concat, conv2d, maxpool2d, mse
 from radarpose.gradcheck import toy_config, variant_inputs
 from radarpose.model import (
+    ADAM_BLOCK,
     ExampleSet,
     _adam_step,
     _flatten,
@@ -35,6 +36,7 @@ from radarpose.model import (
 )
 from radarpose.pointcloud import FusedFrame
 from radarpose.scene import JOINT_NAMES
+from test_autodiff import reference_conv2d, reference_maxpool2d
 
 
 def toy_examples(rng, cfg, n_frames=10):
@@ -75,6 +77,23 @@ def test_config_output_cap_and_validation():
         ModelConfig(conv_spec=((8, 4, 2),))  # even kernel
     with pytest.raises(ValueError):
         ModelConfig(conv_spec=((8, 3, 2), (8, 3, 2), (8, 3, 2)))  # view shrinks to 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"conv_spec": ((16, 3, 0),)}, r"conv_spec\[0\] pool must be an integer >= 1, got 0"),
+    ({"conv_spec": ((16, 3, 2), (0, 3, 2))}, r"conv_spec\[1\] channels must be an integer >= 1, got 0"),
+    ({"conv_spec": ((16, -1, 2),)}, r"conv_spec\[0\] kernel must be an integer >= 1, got -1"),
+    ({"conv_spec": ((16, 4, 2),)}, r"conv_spec\[0\] kernel must be odd, got 4"),
+    ({"conv_spec": ((16, 3),)}, r"conv_spec\[0\] must be \(channels, kernel, pool\)"),
+    ({"row_mlp_spec": (64, 0)}, r"row_mlp_spec\[1\] must be an integer >= 1, got 0"),
+    ({"row_mlp_spec": ()}, r"row_mlp_spec needs at least one layer"),
+    ({"tnet_head_spec": (2.5,)}, r"tnet_head_spec\[0\] must be an integer >= 1, got 2\.5"),
+    ({"mlp_head_spec": (True,)}, r"mlp_head_spec\[0\] must be an integer >= 1, got True"),
+    ({"n_max": 64.5}, r"n_max must be an integer >= 1, got 64\.5"),
+])
+def test_config_rejects_a_layer_size_below_one_naming_the_field(edit, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**edit)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -410,6 +429,12 @@ def test_train_validation_split_reported():
     assert np.isfinite(hist[-1]["val_loss"])
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_hyper_rejects_a_bad_lr_decay(value):
+    with pytest.raises(ValueError, match="lr_decay must be finite and > 0"):
+        Hyper(lr_decay=value)
+
+
 def test_train_rejects_empty_dataset():
     cfg = toy_config("dual_mlp", seed=0)
     ex = toy_examples(np.random.default_rng(0), cfg, n_frames=0)
@@ -458,27 +483,75 @@ def _per_array_adam(params, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-
         params[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
 
 
+def _unblocked_adam_step(p, g, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The flat Adam step as 14 passes over whole vectors: the reference for the blocked one."""
+    m, v = state
+    work, work2 = np.empty_like(p), np.empty_like(p)
+    m *= beta1
+    np.multiply(g, 1 - beta1, out=work)
+    m += work
+    v *= beta2
+    np.multiply(g, 1 - beta2, out=work)
+    work *= g
+    v += work
+    np.divide(m, 1 - beta1**t, out=work)
+    np.divide(v, 1 - beta2**t, out=work2)
+    np.sqrt(work2, out=work2)
+    work2 += eps
+    work *= lr
+    work /= work2
+    p -= work
+
+
 def test_flat_adam_step_is_bitwise_the_per_array_update():
-    cfg = toy_config("dual_cnn", seed=19)
-    rng = np.random.default_rng(13)
-    inputs = variant_inputs(cfg, rng, batch=4)
-    gt = rng.uniform(size=(4, cfg.output_width))
-    ref = init_params(cfg)
-    ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.params.items()}
-    mp = init_params(cfg)
-    flat, mp.params = _flatten(mp.params)
-    state = tuple(np.zeros_like(flat) for _ in range(4))
-    for t in (1, 2, 3):
-        _, ref_grads = backward(cfg, ref, inputs, gt)
-        _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
-        _, grads = backward(cfg, mp, inputs, gt)
-        _adam_step(flat, np.concatenate([grads[k].ravel() for k in mp.params]), state, 3e-3, t)
-        assert mp.params.keys() == ref.params.keys()
-        for k, p in ref.params.items():
-            assert mp.params[k].tobytes() == p.tobytes(), k
-        for i in (0, 1):
-            ref_moment = np.concatenate([ref_state[k][i].ravel() for k in ref.params])
-            assert state[i].tobytes() == ref_moment.tobytes()
+    # the toy model fits in one block; the default dual_cnn spans several and ends in a partial one
+    for cfg in (toy_config("dual_cnn", seed=19), ModelConfig(variant="dual_cnn", seed=19)):
+        rng = np.random.default_rng(13)
+        inputs = variant_inputs(cfg, rng, batch=4)
+        gt = rng.uniform(size=(4, cfg.output_width))
+        ref = init_params(cfg)
+        ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.params.items()}
+        mp = init_params(cfg)
+        flat, mp.params = _flatten(mp.params)
+        state = (np.zeros_like(flat), np.zeros_like(flat))
+        for t in (1, 2, 3):
+            _, ref_grads = backward(cfg, ref, inputs, gt)
+            _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
+            _, grads = backward(cfg, mp, inputs, gt)
+            _adam_step(flat, np.concatenate([grads[k].ravel() for k in mp.params]), state, 3e-3, t)
+            assert mp.params.keys() == ref.params.keys()
+            for k, p in ref.params.items():
+                assert mp.params[k].tobytes() == p.tobytes(), k
+            for i in (0, 1):
+                ref_moment = np.concatenate([ref_state[k][i].ravel() for k in ref.params])
+                assert state[i].tobytes() == ref_moment.tobytes()
+    assert flat.size > 2 * ADAM_BLOCK and flat.size % ADAM_BLOCK
+
+
+def test_dual_cnn_training_is_bitwise_the_reference_kernels(monkeypatch):
+    """Default-size dual_cnn at batch 10, as in the overfit gate: two runs and
+    a run on the reference conv2d, maxpool2d and Adam give the same bits."""
+    cfg = ModelConfig(variant="dual_cnn", seed=1)
+    ex = toy_examples(np.random.default_rng(41), cfg, n_frames=10)
+    for i in range(10):  # zero-padded like packed frames, so pools see all-zero windows
+        ex.view_xy[i, 6 * (i + 1) :] = 0.0
+        ex.view_yz[i, 5 * (i + 1) :] = 0.0
+    hyper = Hyper(lr=3e-3, batch=10, epochs=30, seed=1, val_fraction=0.0, lr_decay=0.9996)
+
+    def run():
+        mp, hist = train(cfg, ex, hyper)
+        return np.array([h["train_loss"] for h in hist]), mp.params
+
+    losses, params = run()
+    assert losses[-1] < losses[0]
+    second = run()
+    monkeypatch.setattr(model_module, "conv2d", reference_conv2d)
+    monkeypatch.setattr(model_module, "maxpool2d", reference_maxpool2d)
+    monkeypatch.setattr(model_module, "_adam_step", _unblocked_adam_step)
+    for other_losses, other_params in (second, run()):
+        assert other_losses.tobytes() == losses.tobytes()
+        for k, p in params.items():
+            assert other_params[k].tobytes() == p.tobytes(), k
 
 
 def test_train_stop_loss_cuts_history():
@@ -673,7 +746,21 @@ def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
     def encode(values):
         return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
+    def set_config(edit):
+        return lambda doc: edit(doc["config"])
+
     n_out = mp.params["head.out.b"].size
+    # layer sizes in the config: named, not a ZeroDivisionError or a shape the config "needs"
+    with pytest.raises(ValueError, match=r"conv_spec\[0\] pool must be an integer >= 1, got 0"):
+        load_edited(set_config(lambda c: c["conv_spec"][0].__setitem__(2, 0)))
+    with pytest.raises(ValueError, match=r"conv_spec\[0\] channels must be an integer >= 1, got 0"):
+        load_edited(set_config(lambda c: c["conv_spec"][0].__setitem__(0, 0)))
+    with pytest.raises(ValueError, match=r"conv_spec\[1\] kernel must be an integer >= 1, got -1"):
+        load_edited(set_config(lambda c: c["conv_spec"][1].__setitem__(1, -1)))
+    with pytest.raises(ValueError, match=r"row_mlp_spec\[0\] must be an integer >= 1, got 0"):
+        load_edited(set_config(lambda c: c["row_mlp_spec"].__setitem__(0, 0)))
+    with pytest.raises(ValueError, match=r"tnet_row_spec\[1\] must be an integer >= 1, got -3"):
+        load_edited(set_config(lambda c: c["tnet_row_spec"].__setitem__(1, -3)))
     with pytest.raises(ValueError, match=r"'xy\.conv1\.w' has shape \(2, 2, 1, 9\)"):
         load_edited(reshape)
     with pytest.raises(ValueError, match=r"lacks parameter 'head\.out\.b'"):
