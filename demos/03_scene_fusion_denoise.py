@@ -36,7 +36,7 @@ print(f"  merged points: {raw_n}, kept after DBSCAN: {kept_n}, removed as noise:
 print("\n=== one fused frame vs its ground truth ===")
 frame = frames_from_records(tight)[4]
 cloud = frame.points[:, :3]
-print(f"  frame {frame.frame_id} ({frame.action}, swing_state={frame.swing_state})")
+print(f"  frame {frame.frame_id} ({frame.gt.action}, swing_state={frame.gt.swing_state})")
 print(f"  {len(cloud)} points, centroid ({cloud[:, 0].mean():+.2f}, {cloud[:, 1].mean():.2f}, {cloud[:, 2].mean():.2f})")
 pelvis = frame.gt.joint("pelvis")
 print(f"  ground-truth pelvis     ({pelvis[0]:+.2f}, {pelvis[1]:.2f}, {pelvis[2]:.2f})")

@@ -11,7 +11,6 @@ from .fmcw import Detection, RawFrame, detect_points, detections_to_points, rang
 from .pointcloud import (
     FusedFrame,
     RadarPose,
-    ViewPair,
     align_streams,
     build_cloud,
     build_views,
@@ -27,13 +26,11 @@ from .model import (
     Hyper,
     ModelConfig,
     ModelParams,
-    SkeletonEstimate,
     backward,
     forward,
     init_params,
     load_checkpoint,
     mse_loss,
-    predict,
     predict_batch,
     save_checkpoint,
     tnet_forward,

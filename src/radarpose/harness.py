@@ -88,69 +88,57 @@ def frames_from_records(records: list[dict]) -> list[FusedFrame]:
     """Materialize fused JSONL records into in-memory frames.
 
     Only preprocessed records (``"fused": true``: world-frame points,
-    normalized SNR) are accepted, each ``frame_id`` at most once, and every
-    point value must be finite; each error names the frame.
+    normalized SNR) are accepted, each ``frame_id`` at most once; every
+    point value must be finite and ``gt`` must be 32 finite ``[x, y, z]``
+    rows. Each error names the frame.
     """
     frames = []
     seen = set()
     for rec in records:
+        fid = rec["frame_id"]
         if rec.get("fused") is not True:
-            raise ValueError(f"frame {rec['frame_id']}: not a fused record (run preprocess first)")
-        if rec["frame_id"] in seen:
-            raise ValueError(f"frame {rec['frame_id']}: frame_id repeated in the fused records")
-        seen.add(rec["frame_id"])
+            raise ValueError(f"frame {fid}: not a fused record (run preprocess first)")
+        if fid in seen:
+            raise ValueError(f"frame {fid}: frame_id repeated in the fused records")
+        seen.add(fid)
         points = np.asarray(rec["points"], dtype=float).reshape(-1, 5)
         if not np.isfinite(points).all():
-            raise ValueError(f"frame {rec['frame_id']}: non-finite point values")
-        frames.append(
-            FusedFrame(
-                points=points,
+            raise ValueError(f"frame {fid}: non-finite point values")
+        try:
+            gt = SkeletonFrame(
+                joints=rec["gt"],
                 timestamp_ms=rec["t_ms"],
-                gt=SkeletonFrame(
-                    joints=np.asarray(rec["gt"], dtype=float),
-                    timestamp_ms=rec["t_ms"],
-                    action=rec["action"],
-                    subject_id=rec["subject"],
-                    swing_state=rec["swing_state"],
-                ),
                 action=rec["action"],
-                subject=rec["subject"],
+                subject_id=rec["subject"],
                 swing_state=rec["swing_state"],
-                frame_id=rec["frame_id"],
             )
-        )
+        except ValueError as exc:  # ragged, non-numeric, mis-shaped or non-finite joints
+            raise ValueError(f"frame {fid}: gt is not 32 finite [x, y, z] rows ({exc})") from None
+        frames.append(FusedFrame(points=points, gt=gt, frame_id=fid))
     return frames
 
 
-def _pred_array(preds) -> np.ndarray:
-    if isinstance(preds, np.ndarray):
-        return preds
-    return np.stack([p.joints if hasattr(p, "joints") else np.asarray(p) for p in preds])
+def _gt_arrays(gts: list[SkeletonFrame]):
+    return np.stack([g.joints for g in gts]), [g.action for g in gts], [g.swing_state for g in gts]
 
 
-def _gt_arrays(gts):
-    joints = np.stack([g.joints if isinstance(g, SkeletonFrame) else np.asarray(g) for g in gts])
-    actions = [getattr(g, "action", "") for g in gts]
-    states = [getattr(g, "swing_state", "none") for g in gts]
-    return joints, actions, states
+def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets | None = None,
+             name: str = "model") -> VariantMetrics:
+    """MAE metrics (cm) of aligned predictions and ground-truth frames.
 
-
-def evaluate(preds, gts, joint_sets: JointSets | None = None, name: str = "model") -> VariantMetrics:
-    """MAE metrics (cm) of aligned prediction/ground-truth frame lists.
-
-    ``preds`` is an (F, 32, 3) array in metres (NaN rows allowed for absent
-    joints) or a list of skeleton estimates; ``gts`` a list of ground-truth
-    frames carrying action and swing-state labels.
+    ``preds`` is an (F, 32, 3) array in metres, such as
+    :func:`~radarpose.model.predict_batch` returns (NaN rows allowed for
+    absent joints); ``gts`` the F ground-truth frames, whose action and
+    swing-state labels select the swing frames.
     """
     js = joint_sets or JointSets()
-    pred = _pred_array(preds)
     gt, actions, states = _gt_arrays(gts)
-    if pred.shape != gt.shape:
-        raise ValueError(f"prediction/ground-truth mismatch: {pred.shape} vs {gt.shape}")
-    if len(pred) == 0:
+    if preds.shape != gt.shape:
+        raise ValueError(f"prediction/ground-truth mismatch: {preds.shape} vs {gt.shape}")
+    if len(preds) == 0:
         raise ValueError("no frames to evaluate")
 
-    err_cm = np.abs(pred - gt) * 100.0  # (F, 32, 3)
+    err_cm = np.abs(preds - gt) * 100.0  # (F, 32, 3)
     inc = np.array([JOINT_INDEX[j] for j in js.included])
     lower = np.array([JOINT_INDEX[j] for j in js.lower_body])
     arms = np.array([JOINT_INDEX[j] for j in js.arms])
@@ -171,7 +159,7 @@ def evaluate(preds, gts, joint_sets: JointSets | None = None, name: str = "model
         mae_arms_swing_cm=mae_arms,
         mae_lower_cm=mae_lower,
         mae_depth_cm=mae_depth,
-        arm_swing_pct=arm_swing_score(pred, gts, SWING_MARGIN_CM),
+        arm_swing_pct=arm_swing_score(preds, gts, SWING_MARGIN_CM),
         per_joint_mae_cm=per_joint,
     )
 
@@ -183,17 +171,15 @@ def arm_swing_score(preds, gts, margin_cm: float = SWING_MARGIN_CM) -> float | N
     exceeds the opposite predicted elbow by at least ``margin_cm``. Returns
     None when the ground truth holds no swing frames.
     """
-    pred = _pred_array(preds)
-    _, _, states = _gt_arrays(gts)
     el = {side: JOINT_INDEX[f"elbow_{side}"] for side in ("left", "right")}
     total = 0
     correct = 0
-    for i, state in enumerate(states):
+    for i, state in enumerate(g.swing_state for g in gts):
         if state not in ("left", "right"):
             continue
         total += 1
         other = "right" if state == "left" else "left"
-        lift_cm = (pred[i, el[state], 2] - pred[i, el[other], 2]) * 100.0
+        lift_cm = (preds[i, el[state], 2] - preds[i, el[other], 2]) * 100.0
         if math.isfinite(lift_cm) and lift_cm >= margin_cm:
             correct += 1
     if total == 0:
@@ -389,7 +375,9 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
     (rows ordered as in ABLATION_ROWS, plus the mean-pose baseline) and
     leaves CSV writing to the caller.
     """
-    hyper = Hyper(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs, seed=cfg.train_seed)  # checked before simulating
+    # hyperparameters and model configs are checked before simulating
+    hyper = Hyper(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs, seed=cfg.train_seed)
+    model_cfgs = [ModelConfig(variant=variant, n_max=cfg.n_max, seed=cfg.train_seed) for _, variant, _ in ABLATION_ROWS]
     workdir = Path(cfg.workdir)
     out_dir = None
     if cfg.keep_files:
@@ -422,9 +410,8 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
     baseline_pred = np.tile(baseline_pose, (len(base["test_gts"]), 1, 1))
     report.baseline = evaluate(baseline_pred, base["test_gts"], joint_sets, name="Mean-pose baseline")
 
-    for name, variant, pipeline_key in ABLATION_ROWS:
+    for (name, variant, pipeline_key), mcfg in zip(ABLATION_ROWS, model_cfgs):
         data = pipelines[pipeline_key]
-        mcfg = ModelConfig(variant=variant, n_max=cfg.n_max, seed=cfg.train_seed)
         params, history = train(mcfg, data["train"], hyper)
         params.snr_bounds = data["snr_bounds"]
         preds = predict_batch(params, data["test"])

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
-from .pointcloud import FusedFrame, ViewPair, build_cloud, build_views
+from .pointcloud import FusedFrame, build_cloud, build_views
 from .scene import DEFAULT_EXCLUDED_JOINTS, JOINT_INDEX, JOINT_NAMES, N_JOINTS
 
 VARIANTS = ("dual_cnn", "dual_mlp", "single_pointnet")
@@ -284,26 +284,18 @@ def _wrap_params(params: dict) -> dict:
     return {k: Tensor(v) for k, v in params.items()}
 
 
-def _prepare_inputs(cfg: ModelConfig, inputs) -> tuple[dict, bool]:
-    """Normalize the accepted input forms into batched arrays."""
+def _prepare_inputs(cfg: ModelConfig, inputs) -> dict:
+    """Check a packed batch (:meth:`ExampleSet.inputs_for`) and wrap it as the graph's inputs."""
     if cfg.variant == "single_pointnet":
         cloud = np.asarray(inputs, dtype=float)
-        single = cloud.ndim == 2
-        if single:
-            cloud = cloud[None]
         if cloud.shape[1:] != (cfg.n_max, 3):
             raise ValueError(f"single_pointnet expects (B, {cfg.n_max}, 3) clouds, got {cloud.shape}")
-        return {"cloud": Tensor(cloud)}, single
-    if isinstance(inputs, ViewPair):
-        inputs = (inputs.view_xy, inputs.view_yz)
+        return {"cloud": Tensor(cloud)}
     vxy, vyz = (np.asarray(v, dtype=float) for v in inputs)
-    single = vxy.ndim == 2
-    if single:
-        vxy, vyz = vxy[None], vyz[None]
     for name, v in (("view_xy", vxy), ("view_yz", vyz)):
         if v.shape[1:] != (cfg.n_max, 4):
             raise ValueError(f"{name} must be (B, {cfg.n_max}, 4), got {v.shape}")
-    return {"xy": Tensor(vxy), "yz": Tensor(vyz)}, single
+    return {"xy": Tensor(vxy), "yz": Tensor(vyz)}
 
 
 # ---------------------------------------------------------------------------
@@ -311,41 +303,36 @@ def _prepare_inputs(cfg: ModelConfig, inputs) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = None):
-    """Apply one branch's learned affine transform to a view.
+    """Apply one branch's learned affine transform to a (B, N, D) batch of views.
 
-    Returns (transformed view, transform matrix); accepts a single (N, D)
-    view or a (B, N, D) batch.
+    Returns (transformed views (B, N, D), transforms (B, D, D)).
     """
     cfg = params.config
     if branch is None:
         branch = cfg.branches[0]
     view = np.asarray(view, dtype=float)
-    single = view.ndim == 2
-    batched = view[None] if single else view
-    if batched.shape[2] != cfg.tnet_dim:
-        raise ValueError(f"view feature width {batched.shape[2]} != tnet dim {cfg.tnet_dim}")
-    out, transform = _tnet_graph(
-        Tensor(batched), *_kept_rows(batched), _wrap_params(params.params), cfg, f"{branch}.tnet"
-    )
-    if single:
-        return out.data[0], transform.data[0]
+    if view.ndim != 3 or view.shape[2] != cfg.tnet_dim:
+        raise ValueError(f"tnet_forward takes (B, N, {cfg.tnet_dim}) views, got {view.shape}")
+    out, transform = _tnet_graph(Tensor(view), *_kept_rows(view), _wrap_params(params.params), cfg, f"{branch}.tnet")
     return out.data, transform.data
 
 
 def forward(cfg: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
-    """Predict normalized joint coordinates; (B, 3J) or (3J,) for one frame.
+    """Predict (B, 3J) normalized joint coordinates of a packed batch.
 
-    Raises ``ValueError`` naming the first input row that holds a NaN or
-    inf: the ReLUs would otherwise map it to a finite prediction.
+    ``inputs`` is :meth:`ExampleSet.inputs_for`'s form: a ``(view_xy,
+    view_yz)`` pair of (B, n_max, 4) arrays, or a (B, n_max, 3) cloud for
+    ``single_pointnet``; any other shape raises ``ValueError``. So does an
+    input row that holds a NaN or inf, named by example and row: the ReLUs
+    would otherwise map it to a finite prediction.
     """
-    tensors, single = _prepare_inputs(cfg, inputs)
+    tensors = _prepare_inputs(cfg, inputs)
     for key, t in tensors.items():
         bad = np.argwhere(~np.isfinite(t.data).all(axis=-1))
         if len(bad):
             name = key if key == "cloud" else f"view_{key}"
             raise ValueError(f"non-finite input: example {bad[0][0]}, {name} row {bad[0][1]}")
-    out = _forward_graph(cfg, _wrap_params(params.params), tensors)
-    return out.data[0] if single else out.data
+    return _forward_graph(cfg, _wrap_params(params.params), tensors).data
 
 
 def mse_loss(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -360,12 +347,11 @@ def mse_loss(pred: np.ndarray, gt: np.ndarray) -> float:
 def backward(cfg: ModelConfig, params: ModelParams, inputs, gt: np.ndarray):
     """Loss and exact gradients of the MSE w.r.t. every parameter.
 
-    ``gt`` lives in the normalized output space, shaped like the output.
+    ``inputs`` is a packed batch as for :func:`forward`; ``gt`` lives in the
+    normalized output space, shaped like the output.
     """
-    tensors, single = _prepare_inputs(cfg, inputs)
+    tensors = _prepare_inputs(cfg, inputs)
     gt = np.asarray(gt, dtype=float)
-    if single:
-        gt = gt[None]
     pt = _wrap_params(params.params)
     loss = mse(_forward_graph(cfg, pt, tensors), gt)
     loss.backward()
@@ -403,20 +389,25 @@ class Hyper:
 
 @dataclass
 class ExampleSet:
-    """Model-ready arrays for a list of fused frames (SNR already scaled)."""
+    """Model-ready arrays for a list of fused frames (SNR already scaled).
+
+    Row ``i`` of every array is frame ``frame_ids[i]``, packed by
+    :func:`build_views` and :func:`build_cloud`; the motion labels stay on
+    the frames' ground truth.
+    """
 
     view_xy: np.ndarray  # (F, n_max, 4)
     view_yz: np.ndarray  # (F, n_max, 4)
     cloud: np.ndarray  # (F, n_max, 3)
     gt: np.ndarray  # (F, 32, 3) world metres
-    actions: list
-    swing_states: list
     frame_ids: list
 
     def __len__(self):
         return len(self.gt)
 
     def inputs_for(self, cfg: ModelConfig, idx=None):
+        """The model input of frames ``idx`` (all when None): the
+        ``(view_xy, view_yz)`` pair, or the cloud for ``single_pointnet``."""
         sel = slice(None) if idx is None else idx
         if cfg.variant == "single_pointnet":
             return self.cloud[sel]
@@ -425,26 +416,19 @@ class ExampleSet:
 
 def examples_from_frames(frames: list[FusedFrame], n_max: int) -> ExampleSet:
     """Pack fused frames (normalized SNR) into stacked model inputs."""
-    vxy, vyz, clouds, gts = [], [], [], []
-    actions, states, ids = [], [], []
-    for i, fr in enumerate(frames):
-        vp = build_views(fr, n_max)
-        vxy.append(vp.view_xy)
-        vyz.append(vp.view_yz)
-        clouds.append(build_cloud(fr, n_max))
-        gts.append(np.asarray(fr.gt.joints if hasattr(fr.gt, "joints") else fr.gt, dtype=float))
-        actions.append(fr.action)
-        states.append(fr.swing_state)
-        ids.append(getattr(fr, "frame_id", i))
-    return ExampleSet(
-        view_xy=np.stack(vxy) if vxy else np.zeros((0, n_max, 4)),
-        view_yz=np.stack(vyz) if vyz else np.zeros((0, n_max, 4)),
-        cloud=np.stack(clouds) if clouds else np.zeros((0, n_max, 3)),
-        gt=np.stack(gts) if gts else np.zeros((0, N_JOINTS, 3)),
-        actions=actions,
-        swing_states=states,
-        frame_ids=ids,
+    n = len(frames)
+    ex = ExampleSet(
+        view_xy=np.zeros((n, n_max, 4)),
+        view_yz=np.zeros((n, n_max, 4)),
+        cloud=np.zeros((n, n_max, 3)),
+        gt=np.zeros((n, N_JOINTS, 3)),
+        frame_ids=[fr.frame_id for fr in frames],
     )
+    for i, fr in enumerate(frames):
+        ex.view_xy[i], ex.view_yz[i] = build_views(fr.points, n_max)
+        ex.cloud[i] = build_cloud(fr.points, n_max)
+        ex.gt[i] = fr.gt.joints
+    return ex
 
 
 def _included_idx(cfg: ModelConfig) -> np.ndarray:
@@ -602,15 +586,6 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
 # prediction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SkeletonEstimate:
-    """Predicted world-frame joints; excluded joints are NaN and listed."""
-
-    joints: np.ndarray  # (32, 3), NaN where absent
-    included: tuple
-    absent: tuple
-
-
 def _denormalize(cfg: ModelConfig, out: np.ndarray, gt_min: np.ndarray, gt_max: np.ndarray) -> np.ndarray:
     coords = out.reshape(len(out), cfg.n_joints_out, 3)
     world = coords * (gt_max - gt_min) + gt_min
@@ -620,30 +595,17 @@ def _denormalize(cfg: ModelConfig, out: np.ndarray, gt_min: np.ndarray, gt_max: 
 
 
 def predict_batch(params: ModelParams, examples: ExampleSet) -> np.ndarray:
-    """(F, 32, 3) world-frame predictions with NaN rows for absent joints."""
+    """(F, 32, 3) world-frame predictions with NaN rows for the excluded joints.
+
+    For one frame, pass a one-frame ``ExampleSet``.
+    """
     cfg = params.config
     if params.gt_min is None or params.gt_max is None:
         raise ValueError("params carry no normalization constants; train first")
+    if len(examples) == 0:
+        raise ValueError("prediction dataset is empty")
     out = forward(cfg, params, examples.inputs_for(cfg))
     return _denormalize(cfg, out, params.gt_min, params.gt_max)
-
-
-def predict(params: ModelParams, frame) -> SkeletonEstimate:
-    """Predict one preprocessed frame (FusedFrame, ViewPair, or cloud)."""
-    cfg = params.config
-    if params.gt_min is None or params.gt_max is None:
-        raise ValueError("params carry no normalization constants; train first")
-    if isinstance(frame, FusedFrame):
-        inputs = build_cloud(frame, cfg.n_max) if cfg.variant == "single_pointnet" else build_views(frame, cfg.n_max)
-    else:
-        inputs = frame
-    out = forward(cfg, params, inputs)
-    joints = _denormalize(cfg, out[None], params.gt_min, params.gt_max)[0]
-    return SkeletonEstimate(
-        joints=joints,
-        included=cfg.included_joints,
-        absent=tuple(n for n in JOINT_NAMES if n not in cfg.included_joints),
-    )
 
 
 # ---------------------------------------------------------------------------

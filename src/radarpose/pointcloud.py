@@ -45,24 +45,14 @@ DEFAULT_POSES = (RADAR_A_POSE, RADAR_B_POSE)
 
 @dataclass
 class FusedFrame:
-    """Denoised, world-frame, timestamp-aligned merge of the radar streams."""
+    """Denoised, world-frame, timestamp-aligned merge of the radar streams.
+
+    The timestamp and the motion labels are those of ``gt``.
+    """
 
     points: np.ndarray  # (N, 5): x, y, z, velocity, snr
-    timestamp_ms: int
-    gt: "SkeletonFrame | None" = None
-    action: str = ""
-    subject: int = 0
-    swing_state: str = "none"
-    frame_id: int = 0
-
-
-@dataclass
-class ViewPair:
-    """The two fixed-size 4-feature matrices fed to the dual-view models."""
-
-    view_xy: np.ndarray  # (n_max, 4): x, y, velocity, snr
-    view_yz: np.ndarray  # (n_max, 4): y, z, velocity, snr
-    pad_count: int
+    gt: SkeletonFrame
+    frame_id: int
 
 
 def _pitch_rotation(tilt_down_rad: float) -> np.ndarray:
@@ -221,47 +211,41 @@ def normalize_snr(records, bounds: tuple[float, float] | None = None):
     return out, (lo, hi)
 
 
-def _points_array(points) -> np.ndarray:
-    """(N, 5) float array [x, y, z, v, snr] of a fused frame or of raw rows."""
-    if isinstance(points, FusedFrame):
-        points = points.points
-    return np.asarray(points, dtype=float).reshape(-1, 5)
-
-
 def canonical_order(arr: np.ndarray) -> np.ndarray:
-    """Sort order by (range from world origin, azimuth, z), fully tie-broken."""
+    """Sort order by (range from world origin, azimuth, z), fully tie-broken:
+    then by velocity and SNR, and rows equal in value by the signs of their zeros."""
     rng = np.linalg.norm(arr[:, :3], axis=1)
     az = np.arctan2(arr[:, 0], arr[:, 1])
-    return np.lexsort((arr[:, 4], arr[:, 3], arr[:, 2], az, rng))
+    return np.lexsort((*np.signbit(arr).T, arr[:, 4], arr[:, 3], arr[:, 2], az, rng))
 
 
-def build_views(frame, n_max: int) -> ViewPair:
-    """Pack a fused frame into the two fixed-size view matrices.
+def build_views(points: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pack a fused frame's (N, 5) points into the two view matrices.
 
-    Points are canonically sorted, truncated to the ``n_max`` nearest, and
-    zero-padded; the result is exactly invariant to input point order.
+    Returns ``(view_xy, view_yz)``, each ``(n_max, 4)``: features
+    ``(x, y, v, snr)`` and ``(y, z, v, snr)``. Points are canonically sorted,
+    truncated to the ``n_max`` nearest, and zero-padded; the result is
+    exactly invariant to input point order.
     """
-    arr = _points_array(frame)
-    arr = arr[canonical_order(arr)][:n_max]
+    arr = points[canonical_order(points)][:n_max]
     kept = len(arr)
     view_xy = np.zeros((n_max, 4))
     view_yz = np.zeros((n_max, 4))
     view_xy[:kept] = arr[:, [0, 1, 3, 4]]
     view_yz[:kept] = arr[:, [1, 2, 3, 4]]
-    return ViewPair(view_xy=view_xy, view_yz=view_yz, pad_count=n_max - kept)
+    return view_xy, view_yz
 
 
-def build_cloud(frame, n_max: int) -> np.ndarray:
-    """(n_max, 3) zero-padded world xyz cloud in the same canonical order."""
-    arr = _points_array(frame)
-    arr = arr[canonical_order(arr)][:n_max]
+def build_cloud(points: np.ndarray, n_max: int) -> np.ndarray:
+    """(n_max, 3) zero-padded world xyz cloud of (N, 5) points, in the views' order."""
+    arr = points[canonical_order(points)][:n_max]
     cloud = np.zeros((n_max, 3))
     cloud[: len(arr)] = arr[:, :3]
     return cloud
 
 
 def _transform_record_points(rec: dict, pose: RadarPose) -> np.ndarray:
-    pts = _points_array(rec["points"])
+    pts = np.asarray(rec["points"], dtype=float).reshape(-1, 5)
     pts[:, :3] = transform_to_world(pts[:, :3], pose)
     return pts
 

@@ -202,12 +202,12 @@ def test_acceptance_order_invariance():
             worst = max(worst, float(np.max(np.abs(forward(cfg, mp, shuffled) - ref))))
 
     pts = np.array([[*rng.uniform(-1, 3, 3), rng.normal(), rng.uniform()] for _ in range(20)])
-    ref_views = build_views(pts, n_max=32)
+    ref_xy, ref_yz = build_views(pts, n_max=32)
     views_exact = True
     for _ in range(50):
         perm = rng.permutation(len(pts))
-        vp = build_views(pts[perm], n_max=32)
-        if not (np.array_equal(vp.view_xy, ref_views.view_xy) and np.array_equal(vp.view_yz, ref_views.view_yz)):
+        view_xy, view_yz = build_views(pts[perm], n_max=32)
+        if not (np.array_equal(view_xy, ref_xy) and np.array_equal(view_yz, ref_yz)):
             views_exact = False
     ok = worst <= 1e-6 and views_exact
     _gate(

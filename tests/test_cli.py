@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from radarpose import cli
+from radarpose import cli, harness
 from radarpose.cli import main, parse_config_file
 from radarpose.model import ModelConfig, load_checkpoint
 from radarpose.records import read_jsonl
@@ -196,6 +196,16 @@ def test_ablate_rejects_a_bad_hyperparameter_before_simulating(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_ablate_rejects_a_bad_n_max_before_simulating(tmp_path, monkeypatch):
+    def simulate_split(*args, **kwargs):
+        raise AssertionError("simulated before checking the model configs")
+
+    monkeypatch.setattr(harness, "simulate_split", simulate_split)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 2$"):
+        main(["ablate", "--n-max", "1", "--workdir", str(tmp_path / "work"), "--out-csv", str(tmp_path / "a.csv")])
+    assert list(tmp_path.rglob("*.jsonl")) == []
+
+
 def test_train_cli_checkpoint_and_svg(small_pipeline):
     root, _, _, ckpt = small_pipeline
     params = load_checkpoint(ckpt)
@@ -216,6 +226,16 @@ def test_eval_cli(small_pipeline, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("dual_mlp,")
     assert (tmp_path / "report.joints.csv").exists()
+
+
+def test_eval_cli_rejects_a_test_file_with_no_frames(small_pipeline, tmp_path):
+    _, _, _, ckpt = small_pipeline
+    test = tmp_path / "empty.jsonl"
+    test.write_text("")
+    report = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match=r"^prediction dataset is empty$"):
+        main(["eval", "--checkpoint", str(ckpt), "--test", str(test), "--report", str(report)])
+    assert not report.exists()
 
 
 def test_eval_cli_rejects_test_data_scaled_with_other_snr_bounds(small_pipeline, tmp_path):

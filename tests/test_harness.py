@@ -166,8 +166,9 @@ def test_frames_from_records_roundtrip():
     )
     (frame,) = frames_from_records([rec])
     assert frame.frame_id == 3
-    assert frame.timestamp_ms == 150
-    assert frame.action == "swing_left"
+    assert frame.gt.timestamp_ms == 150
+    assert frame.gt.action == "swing_left"
+    assert frame.gt.subject_id == 1
     assert frame.gt.swing_state == gt.swing_state
     np.testing.assert_allclose(frame.gt.joints, gt.joints)
     assert frame.points.shape == (1, 5)
@@ -194,6 +195,20 @@ def test_frames_from_records_rejects_nonfinite_points():
         rec = _fused_record(5, [[0.1, 2.0, 1.0, -0.2, 0.7], [0.0, 2.0, bad, 0.0, 0.5]])
         with pytest.raises(ValueError, match="frame 5: non-finite"):
             frames_from_records([rec])
+
+
+def test_frames_from_records_rejects_a_gt_row_that_is_not_3_numbers():
+    rec = _fused_record(7, [[0.1, 2.0, 1.0, -0.2, 0.7]])
+    rec["gt"][30] = [0.1, 2.0]
+    with pytest.raises(ValueError, match=r"^frame 7: gt is not 32 finite \[x, y, z\] rows"):
+        frames_from_records([rec])
+
+
+def test_frames_from_records_rejects_a_nonfinite_gt_joint():
+    rec = _fused_record(9, [[0.1, 2.0, 1.0, -0.2, 0.7]])
+    rec["gt"][12][2] = math.nan
+    with pytest.raises(ValueError, match=r"^frame 9: gt is not 32 finite \[x, y, z\] rows \(joints must be finite\)$"):
+        frames_from_records([rec])
 
 
 def test_frames_from_records_rejects_a_repeated_frame_id():

@@ -28,14 +28,13 @@ from radarpose.model import (
     load_checkpoint,
     mse_loss,
     param_layout,
-    predict,
     predict_batch,
     save_checkpoint,
     tnet_forward,
     train,
 )
 from radarpose.pointcloud import FusedFrame
-from radarpose.scene import JOINT_NAMES
+from radarpose.scene import JOINT_NAMES, SkeletonFrame
 from test_autodiff import reference_conv2d, reference_maxpool2d
 
 
@@ -46,10 +45,14 @@ def toy_examples(rng, cfg, n_frames=10):
         view_yz=rng.normal(size=(n_frames, cfg.n_max, 4)),
         cloud=rng.normal(size=(n_frames, cfg.n_max, 3)),
         gt=gt,
-        actions=["walk_toward"] * n_frames,
-        swing_states=["none"] * n_frames,
         frame_ids=list(range(n_frames)),
     )
+
+
+def one_frame(ex, i):
+    """Frame ``i`` of ``ex`` as a one-frame ExampleSet."""
+    sel = slice(i, i + 1)
+    return ExampleSet(ex.view_xy[sel], ex.view_yz[sel], ex.cloud[sel], ex.gt[sel], ex.frame_ids[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +122,9 @@ def test_tnet_dim_follows_variant():
 def test_tnet_is_identity_at_init():
     cfg = toy_config("dual_cnn", seed=3)
     mp = init_params(cfg)
-    view = np.random.default_rng(0).normal(size=(cfg.n_max, 4))
+    view = np.random.default_rng(0).normal(size=(2, cfg.n_max, 4))
     out, transform = tnet_forward(view, mp)
-    np.testing.assert_array_equal(transform, np.eye(4))
+    np.testing.assert_array_equal(transform, np.broadcast_to(np.eye(4), (2, 4, 4)))
     np.testing.assert_array_equal(out, view)
 
 
@@ -132,18 +135,20 @@ def test_tnet_transform_permutation_invariant():
     # jitter so the transform is not the trivial identity
     for k in mp.params:
         mp.params[k] = mp.params[k] + 0.1 * rng.normal(size=mp.params[k].shape)
-    view = rng.normal(size=(cfg.n_max, 4))
+    view = rng.normal(size=(1, cfg.n_max, 4))
     _, t_ref = tnet_forward(view, mp)
     for _ in range(5):
         perm = rng.permutation(cfg.n_max)
-        _, t_perm = tnet_forward(view[perm], mp)
+        _, t_perm = tnet_forward(view[:, perm], mp)
         np.testing.assert_allclose(t_perm, t_ref, atol=1e-12)
 
 
 def test_tnet_rejects_wrong_width():
     mp = init_params(toy_config("dual_cnn", seed=0))
-    with pytest.raises(ValueError):
-        tnet_forward(np.zeros((8, 3)), mp)
+    with pytest.raises(ValueError, match=r"tnet_forward takes \(B, N, 4\) views, got \(1, 8, 3\)"):
+        tnet_forward(np.zeros((1, 8, 3)), mp)
+    with pytest.raises(ValueError, match=r"got \(8, 4\)"):  # one unbatched view
+        tnet_forward(np.zeros((8, 4)), mp)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +162,18 @@ def test_zero_input_outputs_head_bias(variant):
     bias = np.arange(cfg.output_width, dtype=float) * 0.1 - 0.2
     mp.params["head.out.b"] = bias.copy()
     inputs = (
-        np.zeros((cfg.n_max, 3))
+        np.zeros((2, cfg.n_max, 3))
         if variant == "single_pointnet"
-        else (np.zeros((cfg.n_max, 4)), np.zeros((cfg.n_max, 4)))
+        else (np.zeros((2, cfg.n_max, 4)), np.zeros((2, cfg.n_max, 4)))
     )
-    np.testing.assert_array_equal(forward(cfg, mp, inputs), bias)
+    np.testing.assert_array_equal(forward(cfg, mp, inputs), [bias, bias])
 
 
 def test_forward_output_width_is_66_by_default():
     cfg = ModelConfig(n_max=8)
     mp = init_params(cfg)
-    out = forward(cfg, mp, (np.zeros((8, 4)), np.zeros((8, 4))))
-    assert out.shape == (66,)
+    out = forward(cfg, mp, (np.zeros((1, 8, 4)), np.zeros((1, 8, 4))))
+    assert out.shape == (1, 66)
 
 
 @pytest.mark.parametrize("variant", ["dual_mlp", "single_pointnet"])
@@ -192,11 +197,15 @@ def test_pooled_variants_are_order_invariant(variant):
 def test_forward_rejects_wrong_shapes():
     cfg = toy_config("dual_cnn", seed=0)
     mp = init_params(cfg)
-    with pytest.raises(ValueError):
-        forward(cfg, mp, (np.zeros((4, 4)), np.zeros((4, 4))))  # wrong N
+    with pytest.raises(ValueError, match=r"view_xy must be \(B, 8, 4\), got \(1, 4, 4\)"):
+        forward(cfg, mp, (np.zeros((1, 4, 4)), np.zeros((1, 4, 4))))  # wrong N
+    with pytest.raises(ValueError, match=r"got \(8, 4\)"):  # one unbatched example
+        forward(cfg, mp, (np.zeros((8, 4)), np.zeros((8, 4))))
     cfg3 = toy_config("single_pointnet", seed=0)
-    with pytest.raises(ValueError):
-        forward(cfg3, init_params(cfg3), np.zeros((8, 4)))  # 4 features, not 3
+    with pytest.raises(ValueError, match=r"got \(1, 8, 4\)"):
+        forward(cfg3, init_params(cfg3), np.zeros((1, 8, 4)))  # 4 features, not 3
+    with pytest.raises(ValueError, match=r"got \(8, 3\)"):
+        forward(cfg3, init_params(cfg3), np.zeros((8, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +334,8 @@ def _packed_examples(n_max, seed):
             rng.uniform(-1.0, 1.0, n), rng.uniform(1.5, 4.0, n), rng.uniform(0.0, 1.8, n),
             rng.normal(0.0, 0.5, n), rng.uniform(0.0, 1.0, n),
         ])
-        gt = rng.uniform([-1.0, 1.9, 0.0], [1.0, 3.5, 1.8], size=(32, 3))
-        frames.append(FusedFrame(points=points, timestamp_ms=50 * i, gt=gt, frame_id=i))
+        gt = SkeletonFrame(rng.uniform([-1.0, 1.9, 0.0], [1.0, 3.5, 1.8], size=(32, 3)), timestamp_ms=50 * i)
+        frames.append(FusedFrame(points=points, gt=gt, frame_id=i))
     return examples_from_frames(frames, n_max)
 
 
@@ -358,7 +367,7 @@ def test_compacted_forward_is_bitwise_the_padded_graph(variant, small):
     valid = (ex.cloud != 0).any(axis=-1).sum(axis=1)
     assert valid.min() == 0 and valid.max() == cfg.n_max and ((valid > 0) & (valid < cfg.n_max)).any()
     mp = _trained_like(cfg, seed=33)
-    inputs, _ = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
+    inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
     oracle = _padded_graph(cfg, model_module._wrap_params(mp.params), inputs).data
     assert forward(cfg, mp, ex.inputs_for(cfg)).tobytes() == oracle.tobytes()
     expected = model_module._denormalize(cfg, oracle, mp.gt_min, mp.gt_max)
@@ -380,7 +389,7 @@ def test_compacted_gradients_match_the_padded_graph(variant):
     gt = np.random.default_rng(37).uniform(size=(len(ex), cfg.output_width))
     loss, grads = backward(cfg, mp, ex.inputs_for(cfg), gt)
     pt = model_module._wrap_params(mp.params)
-    inputs, _ = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
+    inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
     ref = mse(_padded_graph(cfg, pt, inputs), gt)
     ref.backward()
     assert loss == float(ref.data)
@@ -465,7 +474,7 @@ def test_forward_rejects_a_nonfinite_input_row():
     with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
         predict_batch(mp, ex)
     with pytest.raises(ValueError, match="non-finite input: example 0, view_yz row 5"):
-        forward(cfg, mp, (ex.view_xy[2], ex.view_yz[2]))
+        predict_batch(mp, one_frame(ex, 2))
     ex.view_yz[2, 5, 1] = 0.0
     assert np.isfinite(predict_batch(mp, ex)).any()
 
@@ -574,38 +583,37 @@ def test_predict_midpoint_denormalization():
     mp.params["head.out.b"][:] = 0.5
     mp.gt_min = np.array([-1.0, 1.9, 0.0])
     mp.gt_max = np.array([1.0, 3.5, 1.8])
-    est = predict(mp, (np.zeros((cfg.n_max, 4)), np.zeros((cfg.n_max, 4))))
+    ex = toy_examples(np.random.default_rng(16), cfg, n_frames=1)
+    (joints,) = predict_batch(mp, ex)
     mid = (mp.gt_min + mp.gt_max) / 2
     for name in cfg.included_joints:
-        np.testing.assert_allclose(est.joints[JOINT_NAMES.index(name)], mid, atol=1e-12)
+        np.testing.assert_allclose(joints[JOINT_NAMES.index(name)], mid, atol=1e-12)
 
 
 def test_predict_reports_absent_joints():
     cfg = toy_config("dual_cnn", seed=16)
     mp = init_params(cfg)
     mp.gt_min, mp.gt_max = np.zeros(3), np.ones(3)
-    frame = FusedFrame(points=np.array([[0.0, 2.0, 1.0, 0.0, 0.5]]), timestamp_ms=0)
-    est = predict(mp, frame)
-    assert set(est.absent) == set(cfg.excluded_joints)
-    for name in est.absent:
-        assert np.isnan(est.joints[JOINT_NAMES.index(name)]).all()
-    for name in est.included:
-        assert np.isfinite(est.joints[JOINT_NAMES.index(name)]).all()
+    frame = FusedFrame(points=np.array([[0.0, 2.0, 1.0, 0.0, 0.5]]), gt=SkeletonFrame(np.ones((32, 3))), frame_id=0)
+    (joints,) = predict_batch(mp, examples_from_frames([frame], cfg.n_max))
+    for i, name in enumerate(JOINT_NAMES):
+        assert np.isnan(joints[i]).all() == (name in cfg.excluded_joints), name
+        assert np.isfinite(joints[i]).all() == (name in cfg.included_joints), name
 
 
 def test_predict_requires_norm_constants():
-    mp = init_params(toy_config("dual_cnn", seed=0))
-    with pytest.raises(ValueError):
-        predict(mp, (np.zeros((8, 4)), np.zeros((8, 4))))
+    cfg = toy_config("dual_cnn", seed=0)
+    with pytest.raises(ValueError, match="no normalization constants"):
+        predict_batch(init_params(cfg), toy_examples(np.random.default_rng(0), cfg, n_frames=1))
 
 
-def test_predict_batch_matches_predict():
+def test_predict_batch_of_one_frame_matches_its_batch_row():
     cfg = toy_config("dual_mlp", seed=17)
     ex = toy_examples(np.random.default_rng(11), cfg, n_frames=4)
     mp, _ = train(cfg, ex, Hyper(lr=1e-3, batch=4, epochs=2, seed=4, val_fraction=0.0))
     batch = predict_batch(mp, ex)
-    one = predict(mp, (ex.view_xy[2], ex.view_yz[2]))
-    np.testing.assert_allclose(batch[2], one.joints, equal_nan=True)
+    (one,) = predict_batch(mp, one_frame(ex, 2))
+    np.testing.assert_allclose(batch[2], one, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radarpose.pointcloud import (
-    FusedFrame,
     RadarPose,
     align_streams,
     build_cloud,
@@ -317,36 +319,56 @@ def test_normalize_snr_applies_stored_constants_unclamped():
 # ---------------------------------------------------------------------------
 
 def test_build_views_empty_frame():
-    vp = build_views([], n_max=8)
-    assert vp.pad_count == 8
-    assert not vp.view_xy.any() and not vp.view_yz.any()
-    assert vp.view_xy.shape == (8, 4) and vp.view_yz.shape == (8, 4)
+    view_xy, view_yz = build_views(np.zeros((0, 5)), n_max=8)
+    assert not view_xy.any() and not view_yz.any()
+    assert view_xy.shape == (8, 4) and view_yz.shape == (8, 4)
 
 
 def test_build_views_truncates_to_nearest():
     pts = np.array([[0.0, float(r), 0.0, 0.1, 0.5] for r in (6, 2, 4, 1, 5, 3)])
-    vp = build_views(pts, n_max=4)
-    assert vp.pad_count == 0
-    np.testing.assert_allclose(vp.view_xy[:, 1], [1, 2, 3, 4])
+    view_xy, _ = build_views(pts, n_max=4)
+    np.testing.assert_allclose(view_xy[:, 1], [1, 2, 3, 4])
 
 
 def test_build_views_feature_layout():
     pts = np.array([[0.5, 2.0, 1.5, -0.3, 0.7]])
-    vp = build_views(pts, n_max=2)
-    np.testing.assert_allclose(vp.view_xy[0], [0.5, 2.0, -0.3, 0.7])
-    np.testing.assert_allclose(vp.view_yz[0], [2.0, 1.5, -0.3, 0.7])
-    assert vp.pad_count == 1
+    view_xy, view_yz = build_views(pts, n_max=2)
+    np.testing.assert_allclose(view_xy, [[0.5, 2.0, -0.3, 0.7], [0, 0, 0, 0]])
+    np.testing.assert_allclose(view_yz, [[2.0, 1.5, -0.3, 0.7], [0, 0, 0, 0]])
 
 
-def test_build_views_exactly_permutation_invariant():
-    rng = np.random.default_rng(9)
-    pts = np.array([[*rng.uniform(-1, 3, 3), rng.normal(), rng.uniform()] for _ in range(12)])
-    ref = build_views(pts, n_max=16)
-    for _ in range(10):
-        perm = rng.permutation(len(pts))
-        vp = build_views(pts[perm], n_max=16)
-        assert np.array_equal(vp.view_xy, ref.view_xy)
-        assert np.array_equal(vp.view_yz, ref.view_yz)
+@st.composite
+def _frame_and_permutation(draw):
+    """(points, permutation, n_max): empty, partial and oversized frames,
+    with the repeated values and signed zeros small float ranges give."""
+    n_max = draw(st.integers(2, 10))
+    n = draw(st.integers(0, n_max + 6))
+    points = draw(hnp.arrays(np.float64, (n, 5), elements=st.floats(-4.0, 4.0, width=16)))
+    return points, np.array(draw(st.permutations(range(n))), dtype=int), n_max
+
+
+def _ranges(xyz):
+    return np.linalg.norm(xyz, axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@example((np.zeros((0, 5)), np.zeros(0, dtype=int), 4))
+@example((np.array([[0.0, 1.0, 0.0, 0.0, 0.5], [-0.0, 1.0, 0.0, 0.0, 0.5]]), np.array([1, 0]), 2))
+@given(_frame_and_permutation())
+def test_build_views_exactly_permutation_invariant(case):
+    points, perm, n_max = case
+    view_xy, view_yz = build_views(points, n_max)
+    perm_xy, perm_yz = build_views(points[perm], n_max)
+    assert perm_xy.tobytes() == view_xy.tobytes() and perm_yz.tobytes() == view_yz.tobytes()
+
+    kept = min(len(points), n_max)
+    xyz = np.column_stack([view_xy[:, 0], view_xy[:, 1], view_yz[:, 1]])
+    # the kept rows are input points, and the nearest n_max of them
+    rows = np.column_stack([xyz, view_xy[:, 2:]])[:kept]
+    assert all((points == row).all(axis=1).any() for row in rows)
+    assert _ranges(xyz[:kept]).tobytes() == np.sort(_ranges(points[:, :3]))[:kept].tobytes()
+    assert view_xy[kept:].tobytes() == view_yz[kept:].tobytes() == bytes(32 * (n_max - kept))
+    assert build_cloud(points, n_max).tobytes() == xyz.tobytes()
 
 
 def test_build_cloud_matches_view_order():
