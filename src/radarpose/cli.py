@@ -28,6 +28,7 @@ from .harness import (
     run_ablation,
 )
 from .model import (
+    VARIANTS,
     Hyper,
     ModelConfig,
     examples_from_frames,
@@ -37,9 +38,9 @@ from .model import (
     train as train_model,
 )
 from .physics import ChirpConfig
-from .pointcloud import DEFAULT_EPS_M, DEFAULT_MIN_PTS, DEFAULT_POSES, fuse_records, normalize_snr
+from .pointcloud import DEFAULT_POSES, fuse_records, normalize_snr
 from .records import read_jsonl, write_jsonl
-from .scene import ACTIONS, MotionConfig, generate_dataset
+from .scene import MotionConfig, generate_dataset
 
 
 def parse_config_file(path) -> dict:
@@ -162,7 +163,7 @@ def _load_examples(path, n_max):
     bounds = _snr_bounds(meta, _meta_path(path))
     records = read_jsonl(path)
     if n_max is None:
-        n_max = meta.get("n_max", 64)
+        n_max = meta.get("n_max", ModelConfig.n_max)
     examples = examples_from_frames(frames_from_records(records), n_max)
     return examples, n_max, bounds
 
@@ -288,39 +289,39 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("simulate", cmd_simulate, "generate a synthetic radar dataset (JSONL)")
-    p.add_argument("--actions", type=_comma_list, default=ACTIONS)
+    p.add_argument("--actions", type=_comma_list, default=AblationConfig.actions)
     p.add_argument("--frames", type=int, default=200)
-    p.add_argument("--fps", type=float, default=20.0)
-    p.add_argument("--duration", type=float, default=3.0)
-    p.add_argument("--walk-speed", type=float, default=0.5)
+    p.add_argument("--fps", type=float, default=AblationConfig.fps)
+    p.add_argument("--duration", type=float, default=AblationConfig.duration_s)
+    p.add_argument("--walk-speed", type=float, default=AblationConfig.walk_speed)
     p.add_argument("--radars", type=int, choices=(1, 2), default=2)
-    p.add_argument("--subjects", type=_comma_ints, default=(0, 1))
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--noise-std", type=float, default=0.3)
-    p.add_argument("--threshold-db", type=float, default=8.0)
-    p.add_argument("--density", type=int, default=4)
+    p.add_argument("--subjects", type=_comma_ints, default=AblationConfig.subjects)
+    p.add_argument("--seed", type=int, default=AblationConfig.seed)
+    p.add_argument("--noise-std", type=float, default=AblationConfig.noise_std)
+    p.add_argument("--threshold-db", type=float, default=AblationConfig.threshold_db)
+    p.add_argument("--density", type=int, default=AblationConfig.density)
     p.add_argument("--out", default="dataset.jsonl")
 
     p = add("preprocess", cmd_preprocess, "fuse, denoise, and SNR-normalize a raw dataset")
     p.add_argument("--in", dest="input", default="dataset.jsonl")
     p.add_argument("--out", default="fused.jsonl")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS_M)
-    p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
-    p.add_argument("--window-ms", type=float, default=50.0)
-    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--eps", type=float, default=AblationConfig.eps)
+    p.add_argument("--min-pts", type=int, default=AblationConfig.min_pts)
+    p.add_argument("--window-ms", type=float, default=AblationConfig.window_ms)
+    p.add_argument("--n-max", type=int, default=AblationConfig.n_max)
     p.add_argument("--radars", type=_comma_ints, default=(0, 1))
     p.add_argument("--snr-meta")
 
     p = add("train", cmd_train, "train one model variant on a fused dataset")
     p.add_argument("--data", default="fused.jsonl")
-    p.add_argument("--variant", choices=("dual_cnn", "dual_mlp", "single_pointnet"), default="dual_cnn")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--stop-loss", type=float)
-    p.add_argument("--n-max", type=int, help="default: the n_max of the data's .meta.json, else 64")
+    p.add_argument("--variant", choices=VARIANTS, default=ModelConfig.variant)
+    p.add_argument("--lr", type=float, default=Hyper.lr)
+    p.add_argument("--batch", type=int, default=Hyper.batch)
+    p.add_argument("--epochs", type=int, default=Hyper.epochs)
+    p.add_argument("--seed", type=int, default=Hyper.seed)
+    p.add_argument("--val-fraction", type=float, default=Hyper.val_fraction)
+    p.add_argument("--stop-loss", type=float, default=Hyper.stop_loss)
+    p.add_argument("--n-max", type=int, help=f"default: the n_max of the data's .meta.json, else {ModelConfig.n_max}")
     p.add_argument("--checkpoint", default="checkpoint.json")
     p.add_argument("--loss-svg")
 
@@ -331,23 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ablate", cmd_ablate, "run the four-configuration comparison")
     p.add_argument("--out-csv", default="ablation.csv")
-    p.add_argument("--workdir", default="ablation_work")
-    p.add_argument("--frames", type=int, default=2000)
-    p.add_argument("--test-frames", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epochs", type=int, default=12)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--train-seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS_M)
-    p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
-    p.add_argument("--window-ms", type=float, default=50.0)
-    p.add_argument("--noise-std", type=float, default=0.3)
-    p.add_argument("--threshold-db", type=float, default=8.0)
-    p.add_argument("--fps", type=float, default=20.0)
-    p.add_argument("--duration", type=float, default=3.0)
-    p.add_argument("--keep-files", type=_to_bool, default=True)
+    p.add_argument("--workdir", default=AblationConfig.workdir)
+    p.add_argument("--frames", type=int, default=AblationConfig.n_train)
+    p.add_argument("--test-frames", type=int, default=AblationConfig.n_test)
+    p.add_argument("--seed", type=int, default=AblationConfig.seed)
+    p.add_argument("--epochs", type=int, default=AblationConfig.epochs)
+    p.add_argument("--lr", type=float, default=AblationConfig.lr)
+    p.add_argument("--batch", type=int, default=AblationConfig.batch)
+    p.add_argument("--train-seed", type=int, default=AblationConfig.train_seed)
+    p.add_argument("--n-max", type=int, default=AblationConfig.n_max)
+    p.add_argument("--eps", type=float, default=AblationConfig.eps)
+    p.add_argument("--min-pts", type=int, default=AblationConfig.min_pts)
+    p.add_argument("--window-ms", type=float, default=AblationConfig.window_ms)
+    p.add_argument("--noise-std", type=float, default=AblationConfig.noise_std)
+    p.add_argument("--threshold-db", type=float, default=AblationConfig.threshold_db)
+    p.add_argument("--fps", type=float, default=AblationConfig.fps)
+    p.add_argument("--duration", type=float, default=AblationConfig.duration_s)
+    p.add_argument("--keep-files", type=_to_bool, default=AblationConfig.keep_files)
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of all gradients")
     p.add_argument("--seed", type=int, default=0)

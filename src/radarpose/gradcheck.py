@@ -184,8 +184,7 @@ def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     # the TNet output weights start at zero; jitter them so the check
     # exercises a generic point of the loss surface
     rng = np.random.default_rng(seed + 1)
-    for key in mp.params:
-        mp.params[key] = mp.params[key] + 0.05 * rng.normal(size=mp.params[key].shape)
+    mp.flat += 0.05 * rng.normal(size=mp.flat.size)
     inputs = model._prepare_inputs(cfg, variant_inputs(cfg, rng))
     gt = rng.uniform(0, 1, size=(3, cfg.output_width))
     return check_function(

@@ -118,10 +118,6 @@ def frames_from_records(records: list[dict]) -> list[FusedFrame]:
     return frames
 
 
-def _gt_arrays(gts: list[SkeletonFrame]):
-    return np.stack([g.joints for g in gts]), [g.action for g in gts], [g.swing_state for g in gts]
-
-
 def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets | None = None,
              name: str = "model") -> VariantMetrics:
     """MAE metrics (cm) of aligned predictions and ground-truth frames.
@@ -132,7 +128,7 @@ def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets 
     swing-state labels select the swing frames.
     """
     js = joint_sets or JointSets()
-    gt, actions, states = _gt_arrays(gts)
+    gt = np.stack([g.joints for g in gts])
     if preds.shape != gt.shape:
         raise ValueError(f"prediction/ground-truth mismatch: {preds.shape} vs {gt.shape}")
     if len(preds) == 0:
@@ -142,7 +138,7 @@ def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets 
     inc = np.array([JOINT_INDEX[j] for j in js.included])
     lower = np.array([JOINT_INDEX[j] for j in js.lower_body])
     arms = np.array([JOINT_INDEX[j] for j in js.arms])
-    swing_mask = np.array([a in ("swing_right", "swing_left") for a in actions])
+    swing_mask = np.array([g.action in ("swing_right", "swing_left") for g in gts])
 
     mae_all = float(np.mean(err_cm[:, inc, :]))
     mae_depth = float(np.mean(err_cm[:, inc, 1]))
@@ -189,8 +185,7 @@ def arm_swing_score(preds, gts, margin_cm: float = SWING_MARGIN_CM) -> float | N
 
 def mean_pose_baseline(train_gts) -> np.ndarray:
     """(32, 3) constant predictor: the mean training pose."""
-    joints, _, _ = _gt_arrays(train_gts)
-    return joints.mean(axis=0)
+    return np.stack([g.joints for g in train_gts]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

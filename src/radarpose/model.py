@@ -11,10 +11,11 @@ included joints):
   * ``single_pointnet``- one xyz cloud: TNet(3), shared row MLP, global
                          max pool, MLP head
 
-All parameters live in a name -> float64 array dict, so the whole model is
-one checkpointable, finite-difference-checkable object. During training the
-arrays are reshaped views of one contiguous vector, which Adam updates in
-place together with flat gradient and moment vectors.
+Every learnable value lives in one float64 vector, ``ModelParams.flat``,
+laid out in :func:`param_layout` order; ``ModelParams.params`` names reshaped
+views of it. Initialization and checkpoint loading fill the vector through
+the views, and Adam updates it in place together with flat gradient and
+moment vectors.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -114,14 +117,32 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable arrays plus the normalization constants baked in at
-    training time (per-axis ground-truth min/max and the SNR affine)."""
+    """Every learnable value, as the one float64 vector ``flat`` in
+    :func:`param_layout` order, plus the normalization constants baked in at
+    training time (per-axis ground-truth min/max and the SNR affine).
+
+    ``params`` maps each name to a reshaped view of ``flat``: writing through
+    a view (``params[k][...] = x``) changes ``flat``; rebinding a name raises
+    ``TypeError``."""
 
     config: ModelConfig
-    params: dict
+    flat: np.ndarray
     gt_min: np.ndarray | None = None
     gt_max: np.ndarray | None = None
     snr_bounds: tuple | None = None
+    params: Mapping = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size, flat = param_count(self.config), self.flat
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (size,)):
+            got = f"{flat.dtype} array of shape {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise ValueError(f"flat must be a 1-D float64 vector of {size} values for this config, got a {got}")
+        views, start = {}, 0
+        for name, (shape, _init) in param_layout(self.config).items():
+            end = start + math.prod(shape)
+            views[name] = flat[start:end].reshape(shape)
+            start = end
+        self.params = MappingProxyType(views)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +212,18 @@ def param_layout(cfg: ModelConfig) -> dict:
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Fresh parameters; deterministic in ``cfg.seed``."""
     rng = np.random.default_rng(cfg.seed)
-    p: dict = {}
+    mp = ModelParams(config=cfg, flat=np.zeros(param_count(cfg)))
     for name, (shape, init) in param_layout(cfg).items():
-        if init == "zeros":
-            p[name] = np.zeros(shape)
-        elif init == "identity":
-            p[name] = np.eye(cfg.tnet_dim).reshape(-1)
-        else:
-            p[name] = rng.normal(0.0, math.sqrt(2.0 / init), size=shape)
-    return ModelParams(config=cfg, params=p)
+        if init == "identity":
+            mp.params[name][...] = np.eye(cfg.tnet_dim).reshape(-1)
+        elif init != "zeros":
+            mp.params[name][...] = rng.normal(0.0, math.sqrt(2.0 / init), size=shape)
+    return mp
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """The number of learnable values of ``cfg``: the length of ``ModelParams.flat``."""
+    return sum(math.prod(shape) for shape, _init in param_layout(cfg).values())
 
 
 def _conv_flat_size(cfg: ModelConfig) -> int:
@@ -452,17 +476,6 @@ def target_bounds(cfg: ModelConfig, gt: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _flatten(params: dict) -> tuple[np.ndarray, dict]:
-    """Copy ``params`` into one contiguous vector, in dict order; return it
-    and a dict of views into it with the original names and shapes."""
-    flat = np.concatenate([v.ravel() for v in params.values()])
-    views, start = {}, 0
-    for k, v in params.items():
-        views[k] = flat[start : start + v.size].reshape(v.shape)
-        start += v.size
-    return flat, views
-
-
 #: values per block of the Adam update: the six block-sized slices one block
 #: touches (p, g, m, v and two scratch) take 1.5 MB, which stays in a 2 MB
 #: per-core L2 cache across the update's 14 passes
@@ -544,9 +557,8 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
 
     mp = init_params(cfg)
     mp.gt_min, mp.gt_max = gt_min, gt_max
-    flat, mp.params = _flatten(mp.params)
-    grad = np.empty_like(flat)
-    state = (np.zeros_like(flat), np.zeros_like(flat))
+    grad = np.empty_like(mp.flat)
+    state = (np.zeros_like(mp.flat), np.zeros_like(mp.flat))
 
     history = []
     step = 0
@@ -567,7 +579,7 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
                     f"non-finite training step at epoch {epoch}, step {step}: "
                     f"loss {loss}, squared gradient norm {sq_norm}"
                 )
-            _adam_step(flat, grad, state, lr, step)
+            _adam_step(mp.flat, grad, state, lr, step)
             total += loss * len(idx)
             count += len(idx)
         train_loss = total / count
@@ -643,13 +655,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def _stored_values(path, name: str, entry: dict, version: int, shape: tuple) -> np.ndarray:
-    """Decode one stored parameter into a fresh native float64 array of ``shape``."""
+def _read_stored_values(path, name: str, entry: dict, version: int, out: np.ndarray) -> None:
+    """Decode one stored parameter into ``out``, its view of ``ModelParams.flat``."""
+    shape, size = out.shape, out.size
     if tuple(entry["shape"]) != shape:
         raise ValueError(
             f"checkpoint {path}: parameter {name!r} has shape {tuple(entry['shape'])}; its config needs {shape}"
         )
-    size = math.prod(shape)
     if version == 1:
         data = entry["data"]
         if not isinstance(data, list):
@@ -671,13 +683,11 @@ def _stored_values(path, name: str, entry: dict, version: int, shape: tuple) -> 
             raise ValueError(
                 f"checkpoint {path}: parameter {name!r} decodes to {len(raw)} bytes; {shape} needs {8 * size}"
             )
-        values = np.frombuffer(raw, "<f8").astype(np.float64)
+        values = np.frombuffer(raw, "<f8")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ValueError(
-            f"checkpoint {path}: parameter {name!r} holds {values.flat[bad[0]]} at flat index {bad[0]}"
-        )
-    return values.reshape(shape)
+        raise ValueError(f"checkpoint {path}: parameter {name!r} holds {values[bad[0]]} at flat index {bad[0]}")
+    out[...] = values.reshape(shape)
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -693,22 +703,19 @@ def load_checkpoint(path) -> ModelParams:
         )
     cfg = _config_from_dict(doc["config"])
     stored = doc["params"]
-    params = {}
-    for k, (shape, _init) in param_layout(cfg).items():
+    mp = ModelParams(config=cfg, flat=np.zeros(param_count(cfg)))
+    for k, view in mp.params.items():
         if k not in stored:
             raise ValueError(f"checkpoint {path} lacks parameter {k!r} that its config needs")
-        params[k] = _stored_values(path, k, stored[k], version, shape)
-    extra = [k for k in stored if k not in params]
+        _read_stored_values(path, k, stored[k], version, view)
+    extra = [k for k in stored if k not in mp.params]
     if extra:
         raise ValueError(f"checkpoint {path} has parameter {extra[0]!r} that its config does not define")
     norm = doc["norm"]
-    for field in ("gt_min", "gt_max", "snr_bounds"):
-        if norm[field] is not None and not np.isfinite(np.asarray(norm[field], dtype=float)).all():
-            raise ValueError(f"checkpoint {path}: norm field {field!r} holds a non-finite value {norm[field]}")
-    return ModelParams(
-        config=cfg,
-        params=params,
-        gt_min=None if norm["gt_min"] is None else np.asarray(norm["gt_min"], dtype=float),
-        gt_max=None if norm["gt_max"] is None else np.asarray(norm["gt_max"], dtype=float),
-        snr_bounds=None if norm["snr_bounds"] is None else tuple(norm["snr_bounds"]),
-    )
+    for name in ("gt_min", "gt_max", "snr_bounds"):
+        if norm[name] is not None and not np.isfinite(np.asarray(norm[name], dtype=float)).all():
+            raise ValueError(f"checkpoint {path}: norm field {name!r} holds a non-finite value {norm[name]}")
+    mp.gt_min = None if norm["gt_min"] is None else np.asarray(norm["gt_min"], dtype=float)
+    mp.gt_max = None if norm["gt_max"] is None else np.asarray(norm["gt_max"], dtype=float)
+    mp.snr_bounds = None if norm["snr_bounds"] is None else tuple(norm["snr_bounds"])
+    return mp

@@ -88,28 +88,21 @@ def rotate_to_radar(vec: np.ndarray, pose: RadarPose) -> np.ndarray:
     return np.asarray(vec, dtype=float) @ rot
 
 
-def _time_key(item):
-    if isinstance(item, dict):
-        return item["t_ms"]
-    return item
-
-
 def _check_window_ms(window_ms: float) -> None:
     if not (math.isfinite(window_ms) and window_ms >= 0):
         raise ValueError(f"window_ms must be finite and >= 0, got {window_ms}")
 
 
-def align_streams(stream_a, stream_b, window_ms: float) -> list[tuple]:
-    """Pair two timestamp-sorted streams by greedy nearest timestamp.
+def align_streams(ta, tb, window_ms: float) -> list[tuple[int, int]]:
+    """Pair two sorted timestamp sequences by greedy nearest timestamp.
 
-    Items are records (keyed by ``"t_ms"``) or bare timestamps. Candidate
-    pairs with |dt| <= window_ms / 2 are accepted closest-first; each frame
-    is used at most once. Returns (item_a, item_b) pairs sorted by the
-    a-side timestamp. A negative or non-finite ``window_ms`` raises.
+    Candidate pairs with |dt| <= window_ms / 2 are accepted closest-first,
+    ties going to the lower a index, then the lower b index; each frame is
+    used at most once. Returns the (i, j) index pairs into ``ta`` and ``tb``,
+    sorted by the a-side timestamp. An unsorted sequence or a negative or
+    non-finite ``window_ms`` raises.
     """
     _check_window_ms(window_ms)
-    ta = [_time_key(x) for x in stream_a]
-    tb = [_time_key(x) for x in stream_b]
     for name, ts in (("stream_a", ta), ("stream_b", tb)):
         if any(t2 < t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError(f"{name} is not sorted by timestamp")
@@ -132,7 +125,7 @@ def align_streams(stream_a, stream_b, window_ms: float) -> list[tuple]:
         used_b.add(j)
         pairs.append((i, j))
     pairs.sort()
-    return [(stream_a[i], stream_b[j]) for i, j in pairs]
+    return pairs
 
 
 def dbscan(xyz, eps: float, min_pts: int) -> np.ndarray:
@@ -278,8 +271,9 @@ def fuse_records(
     fused = []
     if len(radar_ids) == 2:
         id_a, id_b = radar_ids
-        pairs = align_streams(streams[id_a], streams[id_b], window_ms)
-        for rec_a, rec_b in pairs:
+        stream_a, stream_b = streams[id_a], streams[id_b]
+        for i, j in align_streams([r["t_ms"] for r in stream_a], [r["t_ms"] for r in stream_b], window_ms):
+            rec_a, rec_b = stream_a[i], stream_b[j]
             pts = np.vstack(
                 [
                     _transform_record_points(rec_a, poses[id_a]),

@@ -189,8 +189,7 @@ def test_acceptance_order_invariance():
     for variant in ("dual_mlp", "single_pointnet"):
         cfg = toy_config(variant, seed=5)
         mp = init_params(cfg)
-        for k in mp.params:
-            mp.params[k] = mp.params[k] + 0.1 * rng.normal(size=mp.params[k].shape)
+        mp.flat += 0.1 * rng.normal(size=mp.flat.size)
         inputs = variant_inputs(cfg, rng, batch=1)
         ref = forward(cfg, mp, inputs)
         for _ in range(50):

@@ -16,10 +16,10 @@ from radarpose.model import (
     ADAM_BLOCK,
     ExampleSet,
     _adam_step,
-    _flatten,
     _kept_rows,
     Hyper,
     ModelConfig,
+    ModelParams,
     VARIANTS,
     backward,
     examples_from_frames,
@@ -27,6 +27,7 @@ from radarpose.model import (
     init_params,
     load_checkpoint,
     mse_loss,
+    param_count,
     param_layout,
     predict_batch,
     save_checkpoint,
@@ -110,6 +111,41 @@ def test_param_layout_is_what_init_params_fills_in_order(variant):
             assert not params[k].any(), k
 
 
+def test_params_are_views_of_the_one_flat_vector():
+    mp = init_params(toy_config("dual_mlp", seed=25))
+    assert np.concatenate([v.ravel() for v in mp.params.values()]).tobytes() == mp.flat.tobytes()
+    assert all(np.shares_memory(v, mp.flat) for v in mp.params.values())
+    mp.params["head.out.b"][...] = 7.0  # writing through a view writes the vector
+    assert (mp.flat[-mp.params["head.out.b"].size :] == 7.0).all()
+    mp.flat[:] = 0.5
+    assert all((v == 0.5).all() for v in mp.params.values())
+
+
+def test_params_refuse_a_rebound_name():
+    mp = init_params(toy_config("dual_cnn", seed=26))
+    with pytest.raises(TypeError):
+        mp.params["head.out.b"] = np.zeros_like(mp.params["head.out.b"])
+    with pytest.raises(TypeError):
+        del mp.params["head.out.b"]
+    assert np.shares_memory(mp.params["head.out.b"], mp.flat)
+
+
+@pytest.mark.parametrize("form", ["long", "short", "float32", "2-D", "list"])
+def test_model_params_reject_a_flat_of_the_wrong_form(form):
+    cfg = toy_config("single_pointnet", seed=27)
+    n = param_count(cfg)
+    flat, got = {
+        "long": (np.zeros(n + 1), rf"float64 array of shape \({n + 1},\)"),
+        "short": (np.zeros(n - 1), rf"float64 array of shape \({n - 1},\)"),
+        "float32": (np.zeros(n, dtype=np.float32), rf"float32 array of shape \({n},\)"),
+        "2-D": (np.zeros((1, n)), rf"float64 array of shape \(1, {n}\)"),
+        "list": ([0.0] * n, "list"),
+    }[form]
+    with pytest.raises(ValueError, match=rf"flat must be a 1-D float64 vector of {n} values for this config, got a {got}"):
+        ModelParams(config=cfg, flat=flat)
+    assert ModelParams(config=cfg, flat=np.zeros(n)).flat.size == n
+
+
 def test_tnet_dim_follows_variant():
     assert ModelConfig(variant="dual_cnn").tnet_dim == 4
     assert ModelConfig(variant="single_pointnet").tnet_dim == 3
@@ -133,8 +169,7 @@ def test_tnet_transform_permutation_invariant():
     mp = init_params(cfg)
     rng = np.random.default_rng(1)
     # jitter so the transform is not the trivial identity
-    for k in mp.params:
-        mp.params[k] = mp.params[k] + 0.1 * rng.normal(size=mp.params[k].shape)
+    mp.flat += 0.1 * rng.normal(size=mp.flat.size)
     view = rng.normal(size=(1, cfg.n_max, 4))
     _, t_ref = tnet_forward(view, mp)
     for _ in range(5):
@@ -160,7 +195,7 @@ def test_zero_input_outputs_head_bias(variant):
     cfg = toy_config(variant, seed=5)
     mp = init_params(cfg)
     bias = np.arange(cfg.output_width, dtype=float) * 0.1 - 0.2
-    mp.params["head.out.b"] = bias.copy()
+    mp.params["head.out.b"][...] = bias
     inputs = (
         np.zeros((2, cfg.n_max, 3))
         if variant == "single_pointnet"
@@ -181,8 +216,7 @@ def test_pooled_variants_are_order_invariant(variant):
     cfg = toy_config(variant, seed=6)
     mp = init_params(cfg)
     rng = np.random.default_rng(2)
-    for k in mp.params:
-        mp.params[k] = mp.params[k] + 0.1 * rng.normal(size=mp.params[k].shape)
+    mp.flat += 0.1 * rng.normal(size=mp.flat.size)
     inputs = variant_inputs(cfg, rng, batch=1)
     ref = forward(cfg, mp, inputs)
     for _ in range(10):
@@ -342,8 +376,7 @@ def _packed_examples(n_max, seed):
 def _trained_like(cfg, seed):
     mp = init_params(cfg)
     rng = np.random.default_rng(seed)
-    for k in mp.params:
-        mp.params[k] = mp.params[k] + 0.05 * rng.normal(size=mp.params[k].shape)
+    mp.flat += 0.05 * rng.normal(size=mp.flat.size)
     mp.gt_min, mp.gt_max = np.array([-1.0, 1.9, 0.0]), np.array([1.0, 3.5, 1.8])
     return mp
 
@@ -489,7 +522,7 @@ def _per_array_adam(params, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-
         state[k] = (m, v)
         mhat = m / (1 - beta1**t)
         vhat = v / (1 - beta2**t)
-        params[k] = p - lr * mhat / (np.sqrt(vhat) + eps)
+        p[...] = p - lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def _unblocked_adam_step(p, g, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -521,20 +554,19 @@ def test_flat_adam_step_is_bitwise_the_per_array_update():
         ref = init_params(cfg)
         ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.params.items()}
         mp = init_params(cfg)
-        flat, mp.params = _flatten(mp.params)
-        state = (np.zeros_like(flat), np.zeros_like(flat))
+        state = (np.zeros_like(mp.flat), np.zeros_like(mp.flat))
         for t in (1, 2, 3):
             _, ref_grads = backward(cfg, ref, inputs, gt)
             _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
             _, grads = backward(cfg, mp, inputs, gt)
-            _adam_step(flat, np.concatenate([grads[k].ravel() for k in mp.params]), state, 3e-3, t)
+            _adam_step(mp.flat, np.concatenate([grads[k].ravel() for k in mp.params]), state, 3e-3, t)
             assert mp.params.keys() == ref.params.keys()
             for k, p in ref.params.items():
                 assert mp.params[k].tobytes() == p.tobytes(), k
             for i in (0, 1):
                 ref_moment = np.concatenate([ref_state[k][i].ravel() for k in ref.params])
                 assert state[i].tobytes() == ref_moment.tobytes()
-    assert flat.size > 2 * ADAM_BLOCK and flat.size % ADAM_BLOCK
+    assert mp.flat.size > 2 * ADAM_BLOCK and mp.flat.size % ADAM_BLOCK
 
 
 def test_dual_cnn_training_is_bitwise_the_reference_kernels(monkeypatch):
@@ -648,6 +680,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.params.keys() == mp.params.keys()
     for k in mp.params:
         np.testing.assert_array_equal(loaded.params[k], mp.params[k])
+    assert loaded.flat.tobytes() == mp.flat.tobytes()
     np.testing.assert_array_equal(loaded.gt_min, mp.gt_min)
     np.testing.assert_array_equal(loaded.gt_max, mp.gt_max)
     assert loaded.snr_bounds == mp.snr_bounds
@@ -693,7 +726,7 @@ _ROUNDTRIP_SHAPE = init_params(_ROUNDTRIP_CFG).params["head.out.w"].shape
 )
 def test_checkpoint_roundtrips_any_finite_value_bitwise(tmp_path_factory, values):
     mp = init_params(_ROUNDTRIP_CFG)
-    mp.params["head.out.w"] = values
+    mp.params["head.out.w"][...] = values
     path = tmp_path_factory.mktemp("roundtrip") / "ckpt.json"
     save_checkpoint(mp, path)
     loaded = load_checkpoint(path)

@@ -158,7 +158,7 @@ def test_world_to_radar_roundtrip_single_point():
 def test_align_identical_timestamps():
     a = [0, 50, 100, 150]
     pairs = align_streams(a, list(a), window_ms=40)
-    assert pairs == [(t, t) for t in a]
+    assert pairs == [(i, i) for i in range(len(a))]
 
 
 def test_align_offset_beyond_window_pairs_nothing():
@@ -166,18 +166,18 @@ def test_align_offset_beyond_window_pairs_nothing():
     b = [t + 100 for t in a[:2]]  # 100 > window/2 for every candidate except shared points
     pairs = align_streams(a, b, window_ms=100)
     # |dt| must be <= 50; (100,100) and (200,200) qualify at dt=0
-    assert pairs == [(100, 100), (200, 200)]
+    assert pairs == [(1, 0), (2, 1)]
     assert align_streams([0, 100], [250, 350], window_ms=100) == []
 
 
 def test_align_greedy_nearest_example():
     pairs = align_streams([0, 100, 200], [10, 190], window_ms=50)
-    assert pairs == [(0, 10), (200, 190)]
+    assert pairs == [(0, 0), (2, 1)]
 
 
 def test_align_each_frame_used_once():
     pairs = align_streams([0, 4], [2], window_ms=20)
-    assert pairs == [(0, 2)]  # dt=2 beats dt=2? ties break toward earlier a
+    assert pairs == [(0, 0)]  # both are 2 ms away; the tie goes to the lower a index
 
 
 def test_align_rejects_unsorted():
@@ -195,11 +195,36 @@ def test_align_zero_window_pairs_equal_timestamps_only():
     assert align_streams([0, 50], [0, 51], window_ms=0) == [(0, 0)]
 
 
-def test_align_on_records():
-    recs_a = [{"t_ms": 0, "x": "a0"}, {"t_ms": 50, "x": "a1"}]
-    recs_b = [{"t_ms": 2, "x": "b0"}, {"t_ms": 51, "x": "b1"}]
-    pairs = align_streams(recs_a, recs_b, window_ms=20)
-    assert [(p[0]["x"], p[1]["x"]) for p in pairs] == [("a0", "b0"), ("a1", "b1")]
+def reference_align(ta, tb, window_ms):
+    """Brute force: repeatedly take the closest pair of still-unused frames
+    (ties by a index, then b index) within window/2, then sort by a-side time."""
+    free_a, free_b = set(range(len(ta))), set(range(len(tb)))
+    pairs = []
+    while True:
+        candidates = [
+            (abs(tb[j] - ta[i]), i, j) for i in free_a for j in free_b if abs(tb[j] - ta[i]) <= window_ms / 2
+        ]
+        if not candidates:
+            break
+        _, i, j = min(candidates)
+        pairs.append((i, j))
+        free_a.remove(i)
+        free_b.remove(j)
+    return sorted(pairs, key=lambda p: (ta[p[0]], p[0]))
+
+
+_timestamps = st.lists(st.integers(-300, 300), max_size=12).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@example(ta=[0, 4], tb=[2], window_ms=20)  # equal distance: the lower a index wins
+@example(ta=[0, 0, 10], tb=[0, 0], window_ms=0)  # repeated timestamps pair in index order
+@given(ta=_timestamps, tb=_timestamps, window_ms=st.integers(0, 200))
+def test_align_matches_the_brute_force_oracle(ta, tb, window_ms):
+    pairs = align_streams(ta, tb, window_ms)
+    assert pairs == reference_align(ta, tb, window_ms)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    assert all(abs(tb[j] - ta[i]) <= window_ms / 2 for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
