@@ -161,27 +161,24 @@ class ChirpConfig:
     sample_rate_hz: float = 2e6
 
     def __post_init__(self):
-        if self.start_freq_hz <= 0:
-            raise ValueError("start_freq_hz must be > 0")
-        if self.slope_hz_per_s <= 0:
-            raise ValueError("slope_hz_per_s must be > 0")
-        if self.chirp_time_s <= 0:
-            raise ValueError("chirp_time_s must be > 0")
-        if self.n_samples < 8:
-            raise ValueError("n_samples must be >= 8")
-        if self.n_chirps < 2:
-            raise ValueError("n_chirps must be >= 2")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be > 0")
+        for name in ("start_freq_hz", "slope_hz_per_s", "chirp_time_s", "sample_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name, low in (("n_samples", 8), ("n_chirps", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        # `nan > 0` is False, so a NaN noise_std would silently add no noise
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if self.n_samples / self.sample_rate_hz > self.chirp_time_s * (1 + 1e-12):
             raise ValueError("n_samples / sample_rate_hz must fit within one chirp")
         if self.rx_spacing_m is None:
             object.__setattr__(self, "rx_spacing_m", self.wavelength_m / 2.0)
         if not 0 < self.rx_spacing_m <= self.wavelength_m / 2.0 + 1e-15:
             raise ValueError(
-                "rx_spacing_m must lie in (0, wavelength/2] for unambiguous azimuth"
+                f"rx_spacing_m must lie in (0, wavelength/2] for unambiguous azimuth, got {self.rx_spacing_m!r}"
             )
 
     @property

@@ -213,10 +213,12 @@ class MotionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be > 0")
-        if self.walk_speed < 0:
-            raise ValueError("walk_speed must be >= 0")
+        for name in ("fps", "duration_s", "swing_period_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.walk_speed) and self.walk_speed >= 0):
+            raise ValueError(f"walk_speed must be finite and >= 0, got {self.walk_speed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -59,6 +59,22 @@ def test_simulate_rejects_empty_subjects(tmp_path):
         main(["simulate", "--frames", "2", "--subjects", "", "--out", str(tmp_path / "sim.jsonl")])
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--noise-std", "nan", "noise_std"),
+        ("--fps", "nan", "fps"),
+        ("--duration", "-1", "duration_s"),
+        ("--walk-speed", "inf", "walk_speed"),
+    ],
+)
+def test_simulate_rejects_a_nonfinite_setting_by_name(tmp_path, flag, value, field):
+    out = tmp_path / "sim.jsonl"
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        main(["simulate", "--frames", "4", f"{flag}={value}", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("no_such_flag = 1\n")

@@ -314,19 +314,36 @@ def _worst_deviation(samples, reference):
     return float(np.max(np.hypot(samples.real.astype(np.longdouble) - re, samples.imag.astype(np.longdouble) - im)))
 
 
+#: (n_samples, n_chirps) for the tone tables: squares, one above a square, and primes.
+TABLE_SHAPES = [(n_samples, n_chirps) for n_samples in (8, 9, 16, 17, 200, 257) for n_chirps in (2, 3)]
+
+
+def _shape_cfg(n_samples, n_chirps, noise_std):
+    # the chirp is lengthened where n_samples at 2 MHz would not fit in 100 us
+    return ChirpConfig(
+        n_samples=n_samples,
+        n_chirps=n_chirps,
+        noise_std=noise_std,
+        chirp_time_s=max(100e-6, n_samples / 2e6),
+    )
+
+
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
 def test_synthesis_matches_the_per_reflector_loop(noise_std):
-    # the tone x weight product reorders the float sum, so equality is to a
-    # bound set from float64 rounding of phases up to ~2e4 rad, not bitwise
+    # the tone tables and the tone x weight product reorder the float work, so
+    # equality is to a bound set from float64 rounding of phases up to ~2e4
+    # rad, not bitwise
     rng = np.random.default_rng(23)
-    cfg = ChirpConfig(noise_std=noise_std)
-    for n in (0, 1, 2, 31, 124):
-        rows = _random_rows(rng, n)
-        got = synthesize_frame(rows, cfg, seed=n).samples
-        oracle = _synthesize_per_reflector(rows.tolist(), cfg, seed=n)
-        if n == 0:
-            assert got.tobytes() == oracle.tobytes()  # nothing but the noise draw
-        assert np.max(np.abs(got - oracle)) <= SYNTHESIS_TOL * rows[:, 4].sum()
+    for n_samples, n_chirps in TABLE_SHAPES:
+        cfg = _shape_cfg(n_samples, n_chirps, noise_std)
+        for n in (0, 1, 2, 31, 124):
+            rows = _random_rows(rng, n)
+            got = synthesize_frame(rows, cfg, seed=n).samples
+            oracle = _synthesize_per_reflector(rows.tolist(), cfg, seed=n)
+            where = f"{n_samples} samples x {n_chirps} chirps, {n} reflectors"
+            if n == 0:
+                assert got.tobytes() == oracle.tobytes(), where  # nothing but the noise draw
+            assert np.max(np.abs(got - oracle)) <= SYNTHESIS_TOL * rows[:, 4].sum(), where
 
 
 @pytest.mark.skipif(
@@ -338,13 +355,15 @@ def test_synthesis_and_the_loop_stay_near_a_long_double_sum(noise_std):
     # the old per-reflector loop meets the same bound, so the product form
     # costs no accuracy that the term-by-term sum had
     rng = np.random.default_rng(29)
-    cfg = ChirpConfig(noise_std=noise_std)
-    for n in (0, 1, 2, 31, 124):
-        rows = _random_rows(rng, n)
-        reference = _synthesize_long_double(rows, cfg, seed=n)
-        bound = SYNTHESIS_TOL * rows[:, 4].sum()
-        assert _worst_deviation(synthesize_frame(rows, cfg, seed=n).samples, reference) <= bound
-        assert _worst_deviation(_synthesize_per_reflector(rows.tolist(), cfg, seed=n), reference) <= bound
+    for n_samples, n_chirps in TABLE_SHAPES:
+        cfg = _shape_cfg(n_samples, n_chirps, noise_std)
+        for n in (0, 1, 2, 31, 124):
+            rows = _random_rows(rng, n)
+            reference = _synthesize_long_double(rows, cfg, seed=n)
+            bound = SYNTHESIS_TOL * rows[:, 4].sum()
+            where = f"{n_samples} samples x {n_chirps} chirps, {n} reflectors"
+            assert _worst_deviation(synthesize_frame(rows, cfg, seed=n).samples, reference) <= bound, where
+            assert _worst_deviation(_synthesize_per_reflector(rows.tolist(), cfg, seed=n), reference) <= bound, where
 
 
 @pytest.mark.parametrize("threshold_db", [0.0, 3.0, 8.0, 12.0])

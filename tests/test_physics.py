@@ -170,6 +170,32 @@ def test_chirp_config_validation():
         ChirpConfig(n_samples=400)  # does not fit in one chirp at 2 MHz
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("start_freq_hz", math.nan),
+        ("slope_hz_per_s", math.inf),
+        ("chirp_time_s", math.nan),
+        ("sample_rate_hz", math.nan),
+        ("sample_rate_hz", -math.inf),
+        ("noise_std", math.nan),
+        ("noise_std", math.inf),
+        ("n_samples", 200.0),
+        ("n_samples", 100.5),
+        ("n_chirps", 2.5),
+        ("n_chirps", True),
+        ("rx_spacing_m", math.nan),
+    ],
+)
+def test_chirp_config_rejects_a_nonfinite_or_fractional_field_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ChirpConfig(**{field: value})
+
+
+def test_chirp_config_takes_a_numpy_integer_sample_count():
+    assert ChirpConfig(n_samples=np.int64(128)).n_samples == 128
+
+
 def test_module_constant_is_si_exact():
     assert physics.SPEED_OF_LIGHT == 299792458.0
 

@@ -95,6 +95,27 @@ def test_template_depth_placement():
     assert frame.joint("pelvis")[1] == pytest.approx(2.7)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("fps", math.nan),
+        ("fps", 0.0),
+        ("fps", math.inf),
+        ("duration_s", -1.0),
+        ("duration_s", 0.0),
+        ("duration_s", math.nan),
+        ("swing_period_s", 0.0),
+        ("swing_period_s", math.inf),
+        ("walk_speed", math.nan),
+        ("walk_speed", math.inf),
+        ("walk_speed", -0.1),
+    ],
+)
+def test_motion_config_rejects_a_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        MotionConfig(**{field: value})
+
+
 def test_walk_toward_decreases_depth_at_walk_speed():
     cfg = MotionConfig(walk_speed=0.5)
     d0 = pose_at("walk_toward", 0.0, cfg).joint("pelvis")[1]
