@@ -4,7 +4,8 @@ A small tape: every operation records its parents and a closure that routes
 the upstream gradient. Exactly the ops the skeleton-regression networks
 need are provided (dense/batched matmul, broadcast add/mul, ReLU, reshape,
 concat, row gather, segment max over rows, same-padded conv2d, 2x2-style max
-pooling, mean).
+pooling, mean), plus ``dense``: a whole dense layer, product, bias and
+optional ReLU, as one node.
 
 Conventions that the gradient checks rely on:
   * everything is float64
@@ -14,11 +15,34 @@ Conventions that the gradient checks rely on:
 The backward sweep allocates no zero gradients: a node takes its first
 incoming gradient as is and sums later ones out of place. A ``.grad`` may
 therefore be a view of another node's gradient; treat it as read-only.
+The sweep frees as it goes: once a node's backward closure has run, the node
+drops its ``.grad`` and the closure (with the arrays it saved). Leaves keep
+their gradients, and every node keeps its ``_parents``. A second
+``backward()`` on a swept graph raises ``ValueError``.
+
+Inside :func:`no_tape` the ops build no graph: every result is a node with no
+parents and no closure, so each intermediate array is freed as soon as
+nothing refers to it. Inference runs there.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Build no tape inside the block: op results get no parents and no closure."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -53,27 +77,22 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
 
         def backward(g):
             return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
 
-        out._backward = backward
-        return out
+        return _node(self.data + other.data, (self, other), backward)
 
     def __sub__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data - other.data, _parents=(self, other))
 
         def backward(g):
             return _unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)
 
-        out._backward = backward
-        return out
+        return _node(self.data - other.data, (self, other), backward)
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
 
         def backward(g):
             return (
@@ -81,38 +100,29 @@ class Tensor:
                 _unbroadcast(g * self.data, other.shape),
             )
 
-        out._backward = backward
-        return out
+        return _node(self.data * other.data, (self, other), backward)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
-        out = Tensor(np.matmul(self.data, other.data), _parents=(self, other))
 
         def backward(g):
             ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
             gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
             return _unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape)
 
-        out._backward = backward
-        return out
+        return _node(np.matmul(self.data, other.data), (self, other), backward)
 
     def relu(self):
         mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0), _parents=(self,))
-        out._backward = lambda g: (g * mask,)
-        return out
+        return _node(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
 
     def reshape(self, shape):
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
-        out._backward = lambda g: (g.reshape(self.shape),)
-        return out
+        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(self.shape),))
 
     def mean(self):
-        out = Tensor(self.data.mean(), _parents=(self,))
-        out._backward = lambda g: (np.full(self.shape, float(g) / self.data.size),)
-        return out
+        return _node(self.data.mean(), (self,), lambda g: (np.full(self.shape, float(g) / self.data.size),))
 
     # ---- backprop ----------------------------------------------------------
 
@@ -134,6 +144,8 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
 
+        if any(node._parents and node._backward is None for node in topo):
+            raise ValueError("backward() already ran on this graph, which freed its closures; build it again")
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
@@ -141,6 +153,8 @@ class Tensor:
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
+            # the node is done: free its gradient and the arrays its closure saved
+            node.grad = node._backward = None
             for parent, g in zip(node._parents, grads):
                 # out of place: closures may hand back views of one another
                 parent.grad = g if parent.grad is None else parent.grad + g
@@ -150,17 +164,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _node(data, parents: tuple, backward) -> Tensor:
+    """An op's result; it joins the tape, with ``backward``, only while recording."""
+    if _recording:
+        return Tensor(data, parents, backward)
+    return Tensor(data)
+
+
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    out._backward = backward
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def gather_rows(t: Tensor, rows: np.ndarray) -> Tensor:
@@ -170,15 +189,13 @@ def gather_rows(t: Tensor, rows: np.ndarray) -> Tensor:
     """
     t = _as_tensor(t)
     width = t.data.shape[-1]
-    out = Tensor(t.data.reshape(-1, width)[rows], _parents=(t,))
 
     def backward(g):
         full = np.zeros((t.data.size // width, width))
         full[rows] = g
         return (full.reshape(t.shape),)
 
-    out._backward = backward
-    return out
+    return _node(t.data.reshape(-1, width)[rows], (t,), backward)
 
 
 def amax(t: Tensor, starts: np.ndarray) -> Tensor:
@@ -201,10 +218,9 @@ def amax(t: Tensor, starts: np.ndarray) -> Tensor:
         raise ValueError(f"amax takes (M, C) rows and non-empty segments, got {t.data.shape} and starts {starts}")
     bounds = list(zip(starts.tolist(), starts[1:].tolist() + [rows]))
     maxima = np.stack([t.data[s:e].max(axis=0) for s, e in bounds])
-    out = Tensor(maxima, _parents=(t,))
 
     def backward(g):
-        # reads ``maxima``, not ``out``: a closure over its own node would
+        # reads ``maxima``, not its own node: a closure over its node would
         # make a reference cycle that keeps the whole tape alive until gc
         full = np.zeros_like(t.data)
         cols = np.arange(t.data.shape[1])
@@ -212,8 +228,34 @@ def amax(t: Tensor, starts: np.ndarray) -> Tensor:
             full[s + np.argmax(t.data[s:e] == top, axis=0), cols] = g_seg
         return (full,)
 
-    out._backward = backward
-    return out
+    return _node(maxima, (t,), backward)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``(x @ w + b).relu()``, or ``x @ w + b`` without ``relu``, as one node.
+
+    x: (M, K); w: (K, C); b: (C,). The bias and the ReLU are applied in
+    place on the product, and both directions are bitwise the three-node
+    form: ``fmax(out, 0)`` then ``+ 0.0`` gives ``np.where(out > 0, out, 0.0)``
+    for every input (NaN and -0.0 become +0.0) without a branch per element,
+    and the backward masks the gradient with ``out > 0``, which is the
+    pre-activation's ``> 0``.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], b.data.size) or b.data.ndim != 1:
+        raise ValueError(f"dense takes (M, K) @ (K, C) + (C,), got {x.shape}, {w.shape} and {b.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+    if relu:
+        np.fmax(out, 0.0, out=out)
+        out += 0.0
+
+    def backward(g):
+        if relu:
+            g = g * (out > 0)
+        return np.matmul(g, w.data.T), np.matmul(x.data.T, g), g.sum(axis=0)
+
+    return _node(out, (x, w, b), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -237,7 +279,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     wmat = w.data.reshape(c_out, -1)
     out_data = cols @ wmat.T
     out_data += b.data  # in place: a second (B*H*W, C_out) array costs more than the add
-    out = Tensor(out_data.reshape(batch, h, wd, c_out).transpose(0, 3, 1, 2), _parents=(x, w, b))
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(batch * h * wd, c_out)
@@ -252,8 +293,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 gx_t[:, :, dj : dj + wd, di : di + h] += gwin[di, dj]
         return gx_t[:, :, pw : pw + wd, ph : ph + h].transpose(0, 1, 3, 2), gw, gb
 
-    out._backward = backward
-    return out
+    return _node(out_data.reshape(batch, h, wd, c_out).transpose(0, 3, 1, 2), (x, w, b), backward)
 
 
 def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
@@ -286,7 +326,6 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
         wins = (cand > best) | (np.isnan(cand) & ~np.isnan(best))
         best = np.where(wins, cand, best)
         winner = np.where(wins, k, winner)
-    out = Tensor(best, _parents=(x,))
 
     def backward(g):
         # one copy brings g into the layout of ``winner`` (conv2d's input
@@ -298,8 +337,7 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
             window(gx, di, dj)[...] = np.where(winner == k, g_k, 0.0)
         return (gx,)
 
-    out._backward = backward
-    return out
+    return _node(best, (x,), backward)
 
 
 def mse(pred: Tensor, target) -> Tensor:

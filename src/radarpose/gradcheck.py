@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
+from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse
 from .model import ModelConfig, init_params
 from .scene import JOINT_NAMES
 
@@ -138,6 +138,16 @@ def layer_checks(seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[CheckR
             "mse",
             lambda ts: mse(ts["x"], ts["y"]),
             {"x": rng.normal(size=(3, 4)), "y": rng.normal(size=(3, 4))},
+        ),
+        (
+            "dense_node_relu",
+            lambda ts: mse(dense(ts["x"], ts["w"], ts["b"], relu=True), t_dense),
+            {"x": rng.normal(size=(2, 4)), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=(5,))},
+        ),
+        (
+            "dense_node",
+            lambda ts: mse(dense(ts["x"], ts["w"], ts["b"], relu=False), t_dense),
+            {"x": rng.normal(size=(2, 4)), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=(5,))},
         ),
     ]
     return [check_function(name, build, arrays, rtol, atol) for name, build, arrays in cases]

@@ -14,8 +14,16 @@ included joints):
 Every learnable value lives in one float64 vector, ``ModelParams.flat``,
 laid out in :func:`param_layout` order; ``ModelParams.params`` names reshaped
 views of it. Initialization and checkpoint loading fill the vector through
-the views, and Adam updates it in place together with flat gradient and
-moment vectors.
+the views, and Adam updates it in place together with two flat moment
+vectors. There is no flat gradient vector: Adam reads each parameter's
+gradient where :func:`backward` left it.
+
+Inference (:func:`forward`, :func:`predict_batch`, :func:`tnet_forward`)
+runs the training graph inside ``autodiff.no_tape``, so it builds no tape
+and frees each layer's output once the next layer has read it; its outputs
+are bitwise the taped graph's. In :func:`backward` the sweep releases each
+interior node's gradient once its backward has run; only the parameters and
+inputs keep theirs.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
+from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse, no_tape
 from .pointcloud import FusedFrame, build_cloud, build_views
 from .scene import DEFAULT_EXCLUDED_JOINTS, JOINT_INDEX, JOINT_NAMES, N_JOINTS
 
@@ -260,11 +268,11 @@ def _tnet_graph(view: Tensor, rows: np.ndarray, starts: np.ndarray, pt: dict, cf
     dim = cfg.tnet_dim
     h = Tensor(view.data.reshape(-1, dim)[rows])
     for i in range(len(cfg.tnet_row_spec)):
-        h = (h @ pt[f"{prefix}.row{i}.w"] + pt[f"{prefix}.row{i}.b"]).relu()
+        h = dense(h, pt[f"{prefix}.row{i}.w"], pt[f"{prefix}.row{i}.b"], relu=True)
     pooled = amax(h, starts)
     for i in range(len(cfg.tnet_head_spec)):
-        pooled = (pooled @ pt[f"{prefix}.head{i}.w"] + pt[f"{prefix}.head{i}.b"]).relu()
-    tvals = pooled @ pt[f"{prefix}.out.w"] + pt[f"{prefix}.out.b"]
+        pooled = dense(pooled, pt[f"{prefix}.head{i}.w"], pt[f"{prefix}.head{i}.b"], relu=True)
+    tvals = dense(pooled, pt[f"{prefix}.out.w"], pt[f"{prefix}.out.b"], relu=False)
     transform = tvals.reshape((-1, dim, dim))
     return view @ transform, transform
 
@@ -275,7 +283,7 @@ def _pooled_rows(view: Tensor, pt: dict, cfg: ModelConfig, br: str, layers: list
     h, _ = _tnet_graph(view, rows, starts, pt, cfg, f"{br}.tnet")
     h = gather_rows(h, rows)
     for name in layers:
-        h = (h @ pt[f"{name}.w"] + pt[f"{name}.b"]).relu()
+        h = dense(h, pt[f"{name}.w"], pt[f"{name}.b"], relu=True)
     return amax(h, starts)
 
 
@@ -300,8 +308,8 @@ def _forward_graph(cfg: ModelConfig, pt: dict, inputs: dict) -> Tensor:
         h = concat([_branch_graph(inputs[br], pt, cfg, br) for br in cfg.branches], axis=1)
         head_spec = cfg.mlp_head_spec
     for i in range(len(head_spec)):
-        h = (h @ pt[f"head.fc{i}.w"] + pt[f"head.fc{i}.b"]).relu()
-    return h @ pt["head.out.w"] + pt["head.out.b"]
+        h = dense(h, pt[f"head.fc{i}.w"], pt[f"head.fc{i}.b"], relu=True)
+    return dense(h, pt["head.out.w"], pt["head.out.b"], relu=False)
 
 
 def _wrap_params(params: dict) -> dict:
@@ -337,7 +345,9 @@ def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = Non
     view = np.asarray(view, dtype=float)
     if view.ndim != 3 or view.shape[2] != cfg.tnet_dim:
         raise ValueError(f"tnet_forward takes (B, N, {cfg.tnet_dim}) views, got {view.shape}")
-    out, transform = _tnet_graph(Tensor(view), *_kept_rows(view), _wrap_params(params.params), cfg, f"{branch}.tnet")
+    pt = _wrap_params(params.params)
+    with no_tape():
+        out, transform = _tnet_graph(Tensor(view), *_kept_rows(view), pt, cfg, f"{branch}.tnet")
     return out.data, transform.data
 
 
@@ -356,7 +366,8 @@ def forward(cfg: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
         if len(bad):
             name = key if key == "cloud" else f"view_{key}"
             raise ValueError(f"non-finite input: example {bad[0][0]}, {name} row {bad[0][1]}")
-    return _forward_graph(cfg, _wrap_params(params.params), tensors).data
+    with no_tape():
+        return _forward_graph(cfg, _wrap_params(params.params), tensors).data
 
 
 def mse_loss(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -398,9 +409,8 @@ class Hyper:
     lr_decay: float = 1.0  # per-epoch multiplicative decay
 
     def __post_init__(self):
-        for field in ("batch", "epochs"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
+        _require_size("batch", self.batch)
+        _require_size("epochs", self.epochs)
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 <= self.val_fraction < 1:
@@ -482,26 +492,45 @@ def target_bounds(cfg: ModelConfig, gt: np.ndarray) -> tuple[np.ndarray, np.ndar
 ADAM_BLOCK = 32768
 
 
-def _adam_step(p: np.ndarray, g: np.ndarray, state: tuple, lr: float, t: int,
+def _adam_step(p: np.ndarray, grads: list, state: tuple, lr: float, t: int,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One Adam update (Kingma & Ba, arXiv:1412.6980) of the flat vector ``p``, in place.
 
-    ``state`` is (m, v), both moments shaped like ``p``. The ops run in the
-    order of the per-array form
+    ``grads`` holds each parameter's gradient as ``backward`` left it, in
+    :func:`param_layout` order, so that together they cover ``p``. ``state``
+    is (m, v), both moments shaped like ``p``. The ops run in the order of
+    the per-array form
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
 
     so every value is bitwise equal to it, without its temporaries. They run
     on one block of ``ADAM_BLOCK`` values at a time, with two block-sized
-    scratch arrays.
+    scratch arrays. A block inside one gradient reads it in place; a block
+    that spans several is first copied into a third scratch array.
     """
     m, v = state
     size = p.size
-    scratch, scratch2 = np.empty(min(size, ADAM_BLOCK)), np.empty(min(size, ADAM_BLOCK))
+    scratch, scratch2, gather = (np.empty(min(size, ADAM_BLOCK)) for _ in range(3))
+    flat = [g.reshape(-1) for g in grads]
+    bounds = np.cumsum([0] + [g.size for g in flat]).tolist()  # gradient i covers p[bounds[i]:bounds[i + 1]]
+    if bounds[-1] != size:
+        raise ValueError(f"the gradients hold {bounds[-1]} values, the parameters {size}")
+    i = 0
     for start in range(0, size, ADAM_BLOCK):
         end = min(start + ADAM_BLOCK, size)
-        pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
+        while bounds[i + 1] <= start:
+            i += 1
+        if end <= bounds[i + 1]:
+            gb = flat[i][start - bounds[i] : end - bounds[i]]
+        else:
+            gb = gather[: end - start]
+            for j in range(i, len(flat)):
+                lo, hi = max(start, bounds[j]), min(end, bounds[j + 1])
+                if lo >= hi:
+                    break
+                gb[lo - start : hi - start] = flat[j][lo - bounds[j] : hi - bounds[j]]
+        pb, mb, vb = p[start:end], m[start:end], v[start:end]
         work, work2 = scratch[: end - start], scratch2[: end - start]
         mb *= beta1
         np.multiply(gb, 1 - beta1, out=work)
@@ -557,7 +586,6 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
 
     mp = init_params(cfg)
     mp.gt_min, mp.gt_max = gt_min, gt_max
-    grad = np.empty_like(mp.flat)
     state = (np.zeros_like(mp.flat), np.zeros_like(mp.flat))
 
     history = []
@@ -568,18 +596,18 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
         total, count = 0.0, 0
         for start in range(0, len(shuffled), hyper.batch):
             idx = shuffled[start : start + hyper.batch]
-            loss, grads = backward(cfg, mp, examples.inputs_for(cfg, idx), targets[idx])
+            loss, named = backward(cfg, mp, examples.inputs_for(cfg, idx), targets[idx])
             step += 1
-            np.concatenate([grads[k].ravel() for k in mp.params], out=grad)
+            grads = [named[k] for k in mp.params]
             # a NaN input can leave the loss finite (ReLU zeroes it) yet reach
             # the gradient; either one would poison the Adam moments for good
-            sq_norm = float(grad @ grad)
+            sq_norm = sum(float(np.vdot(g, g)) for g in grads)
             if not (math.isfinite(loss) and math.isfinite(sq_norm)):
                 raise ValueError(
                     f"non-finite training step at epoch {epoch}, step {step}: "
                     f"loss {loss}, squared gradient norm {sq_norm}"
                 )
-            _adam_step(mp.flat, grad, state, lr, step)
+            _adam_step(mp.flat, grads, state, lr, step)
             total += loss * len(idx)
             count += len(idx)
         train_loss = total / count

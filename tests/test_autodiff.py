@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radarpose.autodiff import Tensor, amax, concat, conv2d, gather_rows, maxpool2d, mse
+from radarpose.autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse, no_tape
 
 
 def numgrad(f, x, h=1e-6):
@@ -336,3 +336,110 @@ def test_composite_network_grad():
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.zeros((2, 2))).backward()
+
+
+SPECIALS = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0])
+
+
+def _dense_cases():
+    """(x, w, b, upstream gradient) holding NaN, +-0, +-inf and subnormals: one
+    special value per row of a 1-wide product, and a random product with
+    specials sprinkled into every operand."""
+    yield (SPECIALS[:, None], np.array([[1.0, -1.0, 0.5]]), np.array([-0.0, 0.0, -0.0]),
+           np.tile([np.inf, -0.0, 2.0], (len(SPECIALS), 1)))
+    rng = np.random.default_rng(50)
+    arrays = [rng.normal(size=shape) for shape in ((12, 7), (7, 9), (9,), (12, 9))]
+    for a in arrays:
+        flat, n = a.reshape(-1), min(a.size, len(SPECIALS))
+        flat[rng.choice(flat.size, size=n, replace=False)] = SPECIALS[:n]
+    yield tuple(arrays)
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_dense_is_bitwise_the_three_node_form(relu):
+    for x, w, b, up in _dense_cases():
+        results = []
+        for fused in (True, False):
+            ts = [Tensor(a.copy()) for a in (x, w, b)]
+            if fused:
+                out = dense(*ts, relu=relu)
+            else:
+                out = ts[0] @ ts[1] + ts[2]
+                out = out.relu() if relu else out
+            forward = out.data.tobytes()
+            (out * Tensor(up)).mean().backward()
+            results.append([forward] + [t.grad.tobytes() for t in ts])
+        assert results[0] == results[1]
+
+
+def test_dense_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="dense takes"):
+        dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(5)), relu=True)
+    with pytest.raises(ValueError, match="dense takes"):
+        dense(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4)), relu=False)
+
+
+def _every_op(x, w, b):
+    """One result of every tape op on (4, 3) x, (3, 3) w and (3,) b."""
+    img = x.reshape((1, 1, 4, 3))
+    return [
+        x + b, x - b, x * b, x @ w, x.relu(), x.reshape((3, 4)), x.mean(), dense(x, w, b, relu=True),
+        concat([x, x], axis=1), gather_rows(x, np.array([0, 2])), amax(x, np.array([0, 2])),
+        conv2d(img, w.reshape((1, 1, 3, 3)), Tensor(b.data[:1])), maxpool2d(img, 2), mse(x, x.data),
+    ]
+
+
+def test_no_tape_records_nothing_and_restores_recording_after_an_exception():
+    rng = np.random.default_rng(51)
+    x, w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3,)))
+    taped = _every_op(x, w, b)
+    with no_tape():
+        untaped = _every_op(x, w, b)
+        with no_tape():
+            pass
+        assert all(t._parents == () and t._backward is None for t in _every_op(x, w, b))  # nesting keeps it off
+    for a, c in zip(taped, untaped):
+        assert a._parents and a._backward is not None
+        assert c._parents == () and c._backward is None
+        assert a.data.tobytes() == c.data.tobytes()
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_tape():
+            raise RuntimeError("inside")
+    assert all(t._parents and t._backward is not None for t in _every_op(x, w, b))
+
+
+def _graph_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_the_sweep_frees_interior_nodes_and_leaves_keep_their_gradients():
+    rng = np.random.default_rng(52)
+    x = Tensor(rng.normal(size=(2, 6, 3)))
+    w1, b1 = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(8,)))
+    w2, b2 = Tensor(rng.normal(size=(8, 4))), Tensor(rng.normal(size=(4,)))
+    h = dense(gather_rows(x, np.array([0, 2, 3, 6, 7, 8, 11])), w1, b1, relu=True)
+    loss = mse(dense(amax(h, np.array([0, 3])), w2, b2, relu=False) * 2.0 + h.mean(), rng.normal(size=(2, 4)))
+    loss.backward()
+    nodes = _graph_nodes(loss)
+    leaves = [n for n in nodes if not n._parents]
+    interior = [n for n in nodes if n._parents]
+    assert len(interior) >= 8 and {id(t) for t in (x, w1, b1, w2, b2)} <= {id(n) for n in leaves}
+    assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+    assert all(n.grad is None and n._backward is None for n in interior)
+
+
+def test_a_second_backward_on_a_swept_graph_raises():
+    x = Tensor(np.array([[1.0, -2.0]]))
+    loss = mse(dense(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), relu=True), np.zeros((1, 2)))
+    loss.backward()
+    grad = x.grad.copy()
+    with pytest.raises(ValueError, match="already ran on this graph"):
+        loss.backward()
+    assert x.grad.tobytes() == grad.tobytes()  # the refused sweep touched nothing

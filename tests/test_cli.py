@@ -206,7 +206,7 @@ def test_train_rejects_a_bad_hyperparameter_naming_it(small_pipeline, tmp_path, 
 
 def test_ablate_rejects_a_bad_hyperparameter_before_simulating(tmp_path):
     work = tmp_path / "work"
-    with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=r"^batch must be an integer >= 1, got 0"):
         main(["ablate", "--batch", "0", "--frames", "16", "--test-frames", "8", "--workdir", str(work),
               "--out-csv", str(tmp_path / "a.csv")])
     assert list(tmp_path.iterdir()) == []

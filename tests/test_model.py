@@ -1,6 +1,7 @@
 import base64
 import gc
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -477,6 +478,16 @@ def test_hyper_rejects_a_bad_lr_decay(value):
         Hyper(lr_decay=value)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"batch": 2.5}, r"batch must be an integer >= 1, got 2\.5"),
+    ({"epochs": 1.5}, r"epochs must be an integer >= 1, got 1\.5"),
+    ({"batch": True}, r"batch must be an integer >= 1, got True"),
+])
+def test_hyper_rejects_a_batch_or_epoch_count_that_is_no_integer(edit, message):
+    with pytest.raises(ValueError, match=message):
+        Hyper(**edit)
+
+
 def test_train_rejects_empty_dataset():
     cfg = toy_config("dual_mlp", seed=0)
     ex = toy_examples(np.random.default_rng(0), cfg, n_frames=0)
@@ -525,8 +536,9 @@ def _per_array_adam(params, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-
         p[...] = p - lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _unblocked_adam_step(p, g, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+def _unblocked_adam_step(p, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
     """The flat Adam step as 14 passes over whole vectors: the reference for the blocked one."""
+    g = np.concatenate([g.ravel() for g in grads])
     m, v = state
     work, work2 = np.empty_like(p), np.empty_like(p)
     m *= beta1
@@ -559,7 +571,7 @@ def test_flat_adam_step_is_bitwise_the_per_array_update():
             _, ref_grads = backward(cfg, ref, inputs, gt)
             _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
             _, grads = backward(cfg, mp, inputs, gt)
-            _adam_step(mp.flat, np.concatenate([grads[k].ravel() for k in mp.params]), state, 3e-3, t)
+            _adam_step(mp.flat, [grads[k] for k in mp.params], state, 3e-3, t)
             assert mp.params.keys() == ref.params.keys()
             for k, p in ref.params.items():
                 assert mp.params[k].tobytes() == p.tobytes(), k
@@ -567,6 +579,14 @@ def test_flat_adam_step_is_bitwise_the_per_array_update():
                 ref_moment = np.concatenate([ref_state[k][i].ravel() for k in ref.params])
                 assert state[i].tobytes() == ref_moment.tobytes()
     assert mp.flat.size > 2 * ADAM_BLOCK and mp.flat.size % ADAM_BLOCK
+
+
+def test_adam_step_refuses_gradients_that_do_not_cover_the_parameters():
+    p = np.zeros(5)
+    state = (np.zeros(5), np.zeros(5))
+    with pytest.raises(ValueError, match="the gradients hold 4 values, the parameters 5"):
+        _adam_step(p, [np.ones((2, 1)), np.ones(2)], state, 1e-3, 1)
+    assert not p.any() and not state[0].any()
 
 
 def test_dual_cnn_training_is_bitwise_the_reference_kernels(monkeypatch):
@@ -646,6 +666,47 @@ def test_predict_batch_of_one_frame_matches_its_batch_row():
     batch = predict_batch(mp, ex)
     (one,) = predict_batch(mp, one_frame(ex, 2))
     np.testing.assert_allclose(batch[2], one, equal_nan=True)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inference_returns_the_taped_graphs_bytes(variant):
+    # forward, predict_batch and tnet_forward build no tape; the same graph built with one gives the same bits
+    cfg = ModelConfig(variant=variant, seed=53)
+    ex = _packed_examples(cfg.n_max, seed=54)
+    mp = _trained_like(cfg, seed=55)
+    pt = model_module._wrap_params(mp.params)
+    inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
+    taped = model_module._forward_graph(cfg, pt, inputs)
+    assert taped._backward is not None
+    assert forward(cfg, mp, ex.inputs_for(cfg)).tobytes() == taped.data.tobytes()
+    expected = model_module._denormalize(cfg, taped.data, mp.gt_min, mp.gt_max)
+    assert predict_batch(mp, ex).tobytes() == expected.tobytes()
+    for br in cfg.branches:
+        view = inputs[br]
+        out, transform = tnet_forward(view.data, mp, br)
+        ref_out, ref_transform = model_module._tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{br}.tnet")
+        assert ref_out._backward is not None
+        assert out.tobytes() == ref_out.data.tobytes()
+        assert transform.tobytes() == ref_transform.data.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_batch_peak_memory_stays_below_100_mb(variant):
+    # 480 frames at the default size; a taped forward keeps every layer's
+    # intermediates alive until it returns and peaks at 106-263 MB on them
+    cfg = ModelConfig(variant=variant, seed=56)
+    ex = _packed_examples(cfg.n_max, seed=57)
+    tiled = ExampleSet(*(np.tile(a, (96, 1, 1)) for a in (ex.view_xy, ex.view_yz, ex.cloud, ex.gt)),
+                       frame_ids=list(range(480)))
+    mp = _trained_like(cfg, seed=58)
+    tracemalloc.start()
+    try:
+        preds = predict_batch(mp, tiled)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (480, 32, 3)
+    assert peak < 100e6, f"{peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
