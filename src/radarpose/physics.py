@@ -3,8 +3,9 @@
 Pure functions tying range, velocity, and azimuth to the beat frequency
 and phase observables of a linear chirp. The four forward relations
 (:func:`beat_frequency`, :func:`phase_at_range`, :func:`doppler_phase`,
-:func:`azimuth_phase`) take a scalar or an array in their first argument
-and apply the same formula elementwise. All quantities are SI
+:func:`azimuth_phase`) and the inverses :func:`range_from_beat` and
+:func:`velocity_from_phase` take a scalar or an array in their first
+argument and apply the same formula elementwise. All quantities are SI
 (m, s, Hz, rad). Phases here are unwrapped; wrapping to (-pi, pi] is the
 business of whoever measures a phase, not of these formulas.
 """
@@ -51,12 +52,12 @@ def beat_frequency(distance_m, slope_hz_per_s: float):
     return slope_hz_per_s * 2.0 * distance_m / C
 
 
-def range_from_beat(beat_hz: float, slope_hz_per_s: float) -> float:
+def range_from_beat(beat_hz, slope_hz_per_s: float):
     """Range [m] of a reflector from a measured beat frequency.
 
     Exact inverse of :func:`beat_frequency`.
     """
-    if beat_hz < 0:
+    if np.any(beat_hz < 0):
         raise ValueError(f"beat frequency must be >= 0, got {beat_hz}")
     if slope_hz_per_s <= 0:
         raise ValueError(f"chirp slope must be > 0, got {slope_hz_per_s}")
@@ -85,7 +86,7 @@ def doppler_phase(velocity_mps, chirp_time_s: float, wavelength_m: float):
     return 4.0 * math.pi * velocity_mps * chirp_time_s / wavelength_m
 
 
-def velocity_from_phase(dphi_rad: float, chirp_time_s: float, wavelength_m: float) -> float:
+def velocity_from_phase(dphi_rad, chirp_time_s: float, wavelength_m: float):
     """Radial velocity [m/s] from a chirp-to-chirp phase difference.
 
     Exact inverse of :func:`doppler_phase` while |dphi| <= pi. Beyond that
@@ -96,9 +97,9 @@ def velocity_from_phase(dphi_rad: float, chirp_time_s: float, wavelength_m: floa
         raise ValueError(f"chirp time must be > 0, got {chirp_time_s}")
     if wavelength_m <= 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength_m}")
-    if abs(dphi_rad) > math.pi:
+    if np.any(np.abs(dphi_rad) > math.pi):
         warnings.warn(
-            f"|phase step| = {abs(dphi_rad):.4f} rad exceeds pi; velocity is ambiguous",
+            f"|phase step| = {np.max(np.abs(dphi_rad)):.4f} rad exceeds pi; velocity is ambiguous",
             VelocityAmbiguityWarning,
             stacklevel=2,
         )
@@ -136,6 +137,12 @@ def angle_from_phase(dphi_rad: float, rx_spacing_m: float, wavelength_m: float) 
     return math.asin(sin_az)
 
 
+def require_count(name: str, value, low: int) -> None:
+    """Reject a value that is not an integer (a bool is not) >= ``low``, naming its field."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChirpConfig:
     """One radar's chirp waveform and front-end parameters.
@@ -165,10 +172,8 @@ class ChirpConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name, low in (("n_samples", 8), ("n_chirps", 2)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        require_count("n_samples", self.n_samples, 8)
+        require_count("n_chirps", self.n_chirps, 2)
         # `nan > 0` is False, so a NaN noise_std would silently add no noise
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")

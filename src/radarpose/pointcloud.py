@@ -145,12 +145,16 @@ def dbscan(xyz, eps: float, min_pts: int) -> np.ndarray:
     pts = pts.reshape(n, -1)
 
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    eps2 = eps * eps
-    neighbors = [np.flatnonzero(row <= eps2) for row in d2]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    # the whole adjacency at once; each neighborhood a list, in ascending index order
+    adjacent = d2 <= eps * eps
+    counts = adjacent.sum(axis=1)
+    cols = np.nonzero(adjacent)[1].tolist()
+    ends = np.cumsum(counts).tolist()
+    neighbors = [cols[end - count:end] for end, count in zip(ends, counts.tolist())]
+    core = (counts >= min_pts).tolist()
 
-    labels = np.full(n, -1, dtype=int)
-    scheduled = np.zeros(n, dtype=bool)
+    labels = [-1] * n
+    scheduled = [False] * n
     cluster = 0
     for seed in range(n):
         if scheduled[seed] or not core[seed]:
@@ -159,15 +163,14 @@ def dbscan(xyz, eps: float, min_pts: int) -> np.ndarray:
         labels[seed] = cluster
         queue = deque([seed])
         while queue:
-            j = queue.popleft()
-            for k in neighbors[j]:
+            for k in neighbors[queue.popleft()]:
                 if labels[k] == -1:
                     labels[k] = cluster
                 if core[k] and not scheduled[k]:
                     scheduled[k] = True
                     queue.append(k)
         cluster += 1
-    return labels
+    return np.array(labels, dtype=int)
 
 
 def snr_bounds(records) -> tuple[float, float]:
@@ -297,7 +300,7 @@ def _denoised_record(src: dict, t_ms: int, radar_id: int, pts: np.ndarray, eps: 
         frame_id=src["frame_id"],
         t_ms=t_ms,
         radar_id=radar_id,
-        points=pts.tolist(),
+        points=pts,
         gt=src["gt"],
         action=src["action"],
         subject=src["subject"],

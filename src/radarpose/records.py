@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 SWING_STATES = ("none", "left", "right")
 
 #: radar_id used for records holding the merged output of both radars
@@ -27,15 +29,18 @@ def make_record(
     swing_state: str,
     fused: bool = False,
 ) -> dict:
-    """Assemble one dataset record with a fixed key order."""
+    """Assemble one dataset record with a fixed key order.
+
+    ``points`` and ``gt`` are rows of numbers: nested lists or a 2-D array.
+    """
     if swing_state not in SWING_STATES:
         raise ValueError(f"swing_state must be one of {SWING_STATES}, got {swing_state!r}")
     rec = {
         "frame_id": int(frame_id),
         "t_ms": int(t_ms),
         "radar_id": int(radar_id),
-        "points": [[float(v) for v in p] for p in points],
-        "gt": [[float(v) for v in joint] for joint in gt],
+        "points": _float_rows(points),
+        "gt": _float_rows(gt),
         "action": str(action),
         "subject": int(subject),
         "swing_state": swing_state,
@@ -43,6 +48,13 @@ def make_record(
     if fused:
         rec["fused"] = True
     return rec
+
+
+def _float_rows(rows) -> list:
+    """Rows of numbers as lists of Python floats; an array converts in one call."""
+    if isinstance(rows, np.ndarray):
+        return rows.astype(float, copy=False).tolist()
+    return [[float(v) for v in row] for row in rows]
 
 
 def validate_record(rec: dict) -> dict:

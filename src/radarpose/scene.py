@@ -11,13 +11,14 @@ is a controllable, bone-rigid test signal, not gait realism.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fmcw import detect_points, detections_to_points, synthesize_frame
-from .physics import ChirpConfig
+from .physics import ChirpConfig, require_count
 from .pointcloud import DEFAULT_POSES, RadarPose, rotate_to_radar, transform_to_radar
 from .records import make_record, write_jsonl
 
@@ -219,8 +220,8 @@ class MotionConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.walk_speed) and self.walk_speed >= 0):
             raise ValueError(f"walk_speed must be finite and >= 0, got {self.walk_speed!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        require_count("seed", self.seed, 0)
+        _template_table(_lengths_key(self.bone_lengths))  # checks every bone length by name
 
 
 def bone_lengths_of(joints: np.ndarray) -> np.ndarray:
@@ -248,23 +249,59 @@ def swing_state_of(joints: np.ndarray) -> str:
     return "none"
 
 
-def skeleton_template(bone_lengths: dict | None = None, pelvis_depth: float = REST_DEPTH) -> SkeletonFrame:
-    """Upright neutral rest pose (arms hanging) at the given pelvis depth."""
-    lengths = dict(DEFAULT_BONE_LENGTHS)
-    if bone_lengths:
-        lengths.update(bone_lengths)
-    for key, val in lengths.items():
-        if val <= 0:
-            raise ValueError(f"bone length {key!r} must be > 0, got {val}")
+def _lengths_key(bone_lengths: dict | None) -> tuple:
+    return tuple(bone_lengths.items()) if bone_lengths else ()
 
-    pelvis_z = lengths["thigh"] + lengths["shin"] + ANKLE_CLEARANCE
+
+@functools.lru_cache(maxsize=64)
+def _template_table(lengths_key: tuple) -> tuple[np.ndarray, tuple]:
+    """The rest pose with its pelvis at depth 0, and each joint's (parent, depth step).
+
+    Each joint is its parent plus its bone offset. Only the depth column
+    depends on the pelvis depth, so ``_rest_joints`` redoes that chain of
+    adds per call and keeps this pose's lateral and height columns.
+    ``lengths_key`` holds (bone class, length) pairs that override the
+    defaults. An unknown bone class, or a length that is not finite and
+    > 0, raises, naming the bone class.
+    """
+    lengths = dict(DEFAULT_BONE_LENGTHS)
+    for key, val in lengths_key:
+        if key not in DEFAULT_BONE_LENGTHS:
+            raise ValueError(f"unknown bone length {key!r}; expected one of {tuple(DEFAULT_BONE_LENGTHS)}")
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"bone length {key!r} must be finite and > 0, got {val!r}")
+        lengths[key] = val
     joints = np.zeros((N_JOINTS, 3))
-    joints[JOINT_INDEX["pelvis"]] = [0.0, pelvis_depth, pelvis_z]
-    for child in JOINT_NAMES[1:]:
+    joints[JOINT_INDEX["pelvis"]] = [0.0, 0.0, lengths["thigh"] + lengths["shin"] + ANKLE_CLEARANCE]
+    depth_steps = []
+    for child in JOINT_NAMES[1:]:  # parents come before their children
         key, d = _BONE_UNIT[child]
-        parent = JOINT_PARENT[child]
-        joints[JOINT_INDEX[child]] = joints[JOINT_INDEX[parent]] + lengths[key] * d
-    return SkeletonFrame(joints=joints, action="walk_toward", swing_state="none")
+        parent = JOINT_INDEX[JOINT_PARENT[child]]
+        offset = lengths[key] * d
+        joints[JOINT_INDEX[child]] = joints[parent] + offset
+        depth_steps.append((parent, float(offset[1])))
+    joints.flags.writeable = False  # shared by every caller with these lengths
+    return joints, tuple(depth_steps)
+
+
+def _rest_joints(bone_lengths: dict | None, pelvis_depth: float) -> np.ndarray:
+    """(32, 3) rest pose: the same parent-plus-offset adds as a per-joint loop."""
+    joints, depth_steps = _template_table(_lengths_key(bone_lengths))
+    depths = [pelvis_depth]
+    for parent, step in depth_steps:
+        depths.append(depths[parent] + step)
+    joints = joints.copy()
+    joints[:, 1] = depths
+    return joints
+
+
+def skeleton_template(bone_lengths: dict | None = None, pelvis_depth: float = REST_DEPTH) -> SkeletonFrame:
+    """Upright neutral rest pose (arms hanging) at the given pelvis depth.
+
+    ``bone_lengths`` overrides some of :data:`DEFAULT_BONE_LENGTHS`; an
+    unknown bone class or a length that is not finite and > 0 raises.
+    """
+    return SkeletonFrame(joints=_rest_joints(bone_lengths, pelvis_depth), action="walk_toward", swing_state="none")
 
 
 def _rot_x(angle: float) -> np.ndarray:
@@ -272,26 +309,28 @@ def _rot_x(angle: float) -> np.ndarray:
     return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
 
 
-_LEFT_LEG = ("knee_left", "ankle_left", "foot_left")
-_RIGHT_LEG = ("knee_right", "ankle_right", "foot_right")
-_LEFT_ARM = ("elbow_left", "wrist_left", "hand_left", "handtip_left", "thumb_left")
-_RIGHT_ARM = ("elbow_right", "wrist_right", "hand_right", "handtip_right", "thumb_right")
+def _joint_indices(*names: str) -> np.ndarray:
+    return np.array([JOINT_INDEX[n] for n in names])
 
 
-def _rotate_chain(joints: np.ndarray, pivot_name: str, chain: tuple, angle: float) -> None:
+_LEFT_LEG = _joint_indices("knee_left", "ankle_left", "foot_left")
+_RIGHT_LEG = _joint_indices("knee_right", "ankle_right", "foot_right")
+_LEFT_ARM = _joint_indices("elbow_left", "wrist_left", "hand_left", "handtip_left", "thumb_left")
+_RIGHT_ARM = _joint_indices("elbow_right", "wrist_right", "hand_right", "handtip_right", "thumb_right")
+
+
+def _rotate_chain(joints: np.ndarray, pivot_name: str, chain: np.ndarray, angle: float) -> None:
     """Rotate a limb sub-chain about the lateral axis through its pivot joint."""
     if angle == 0.0:
         return
     pivot = joints[JOINT_INDEX[pivot_name]]
-    rot = _rot_x(angle)
-    for name in chain:
-        i = JOINT_INDEX[name]
-        joints[i] = pivot + rot @ (joints[i] - pivot)
+    joints[chain] = pivot + (joints[chain] - pivot) @ _rot_x(angle).T
 
 
-def _sequence_params(cfg: MotionConfig) -> tuple[float, float]:
+@functools.lru_cache(maxsize=256)
+def _sequence_params(seed: int) -> tuple[float, float]:
     """Per-sequence determinism: gait phase and lateral offset from the seed."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     return float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(-0.2, 0.2))
 
 
@@ -299,7 +338,7 @@ def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
     """Skeleton pose of one action at time ``t`` [s]. Pure in (action, t, cfg)."""
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
-    gait_phase, lateral_x = _sequence_params(cfg)
+    gait_phase, lateral_x = _sequence_params(cfg.seed)
 
     if action == "walk_toward":
         depth = min(max(DEPTH_MAX - cfg.walk_speed * t, DEPTH_MIN), DEPTH_MAX)
@@ -308,8 +347,7 @@ def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
     else:
         depth = REST_DEPTH
 
-    frame = skeleton_template(cfg.bone_lengths, pelvis_depth=depth)
-    joints = frame.joints
+    joints = _rest_joints(cfg.bone_lengths, depth)
     joints[:, 0] += lateral_x
 
     if action in ("walk_toward", "walk_away"):
@@ -358,23 +396,25 @@ def reflectors_from_skeleton(
     bone by bone in BONES order, the points of each bone from parent to
     child.
     """
-    if density < 1:
-        raise ValueError("density must be >= 1")
+    require_count("density", density, 1)
     if velocities is None:
         velocities = np.zeros((N_JOINTS, 3))
     velocities = np.asarray(velocities, dtype=float)
 
     fracs = ((np.arange(density) + 0.5) / density)[None, :, None]
+    # positions and velocities side by side, interpolated along every bone at once
+    ends = np.concatenate([skel.joints, velocities], axis=1)
+    a0, a1 = ends[_BONE_PARENT][:, None, :], ends[_BONE_CHILD][:, None, :]
+    along = (a0 + fracs * (a1 - a0)).reshape(-1, 6)
 
-    def along_bones(a: np.ndarray) -> np.ndarray:
-        a0, a1 = a[_BONE_PARENT][:, None, :], a[_BONE_CHILD][:, None, :]
-        return (a0 + fracs * (a1 - a0)).reshape(-1, 3)
-
-    positions = transform_to_radar(along_bones(skel.joints), radar_pose)
-    vels = rotate_to_radar(along_bones(velocities), radar_pose)
+    positions = transform_to_radar(along[:, :3], radar_pose)
+    vels = rotate_to_radar(along[:, 3:], radar_pose)
     ranges = np.linalg.norm(positions, axis=1)
-    radial = np.sum(positions * vels, axis=1) / ranges
-    return np.column_stack([positions, radial, np.repeat(_BONE_GAIN, density)])
+    out = np.empty((len(along), 5))
+    out[:, :3] = positions
+    np.divide((positions * vels).sum(axis=1), ranges, out=out[:, 3])
+    out[:, 4] = np.repeat(_BONE_GAIN, density)
+    return out
 
 
 def _subject_lengths(base: dict, subject: int) -> dict:
@@ -404,7 +444,11 @@ def generate_dataset(
     ``duration_s * fps`` frames each; without it, one sequence per combination
     is produced. Deterministic for a fixed configuration and seed; when
     ``out_path`` is given the records are also written there as JSON Lines.
+    ``n_frames`` and ``density`` must be integers >= 1.
     """
+    if n_frames is not None:
+        require_count("n_frames", n_frames, 1)
+    require_count("density", density, 1)
     actions = list(actions)
     if not actions:
         raise ValueError("need at least one action")
@@ -449,7 +493,7 @@ def generate_dataset(
                         t_ms=t_ms,
                         radar_id=radar_id,
                         points=detections_to_points(detect_points(raw, threshold_db)),
-                        gt=pose.joints.tolist(),
+                        gt=pose.joints,
                         action=action,
                         subject=subject,
                         swing_state=pose.swing_state,

@@ -8,6 +8,7 @@ from radarpose.fmcw import (
     Detection,
     SNR_CAP_DB,
     RawFrame,
+    _median,
     bin_to_range,
     detect_points,
     detections_to_points,
@@ -62,6 +63,45 @@ def test_synthesis_rejects_degenerate_reflectors():
 def test_synthesis_rejects_negative_amplitude():
     with pytest.raises(ValueError, match="amplitude"):
         synthesize_frame([one_reflector(), one_reflector(amp=-0.1)], CFG, seed=0)
+
+
+@pytest.mark.parametrize(
+    "column, name, value",
+    [(0, "x", math.nan), (3, "radial velocity", math.nan), (4, "amplitude", math.nan), (4, "amplitude", math.inf)],
+)
+def test_synthesis_rejects_a_non_finite_reflector_value_by_row_and_column(column, name, value):
+    # NaN compares False, so such a row used to pass the checks and turn
+    # every sample into NaN
+    rows = np.array([one_reflector(), one_reflector(d=3.0)])
+    rows[1, column] = value
+    with pytest.raises(ValueError, match=f"^reflector row 1 has a non-finite {name}: {value!r}$"):
+        synthesize_frame(rows, CFG, seed=0)
+
+
+@pytest.mark.parametrize("chirp, rx", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_detect_rejects_non_finite_samples_by_chirp_and_rx(chirp, rx):
+    # all-NaN spectra have no power > 0, so the frame used to come out empty
+    frame = synthesize_frame([one_reflector()], CFG, seed=0)
+    frame.samples[chirp, rx, 7] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match=f"^IF samples of chirp {chirp}, RX {rx} are not finite"):
+        detect_points(frame)
+
+
+def test_synthesis_peak_memory_stays_small():
+    # a body's 124 reflectors at 200 samples; temporaries past glibc's 128 KiB
+    # mmap threshold are mapped and page-faulted afresh on every call
+    import tracemalloc
+
+    rows = _random_rows(np.random.default_rng(3), 124)
+    cfg = ChirpConfig(noise_std=0.3)
+    synthesize_frame(rows, cfg, seed=1)
+    tracemalloc.start()
+    try:
+        synthesize_frame(rows, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450 * 1024
 
 
 @pytest.mark.parametrize("shape", [(5,), (0,), (3, 4), (2, 6), (1, 5, 1)])
@@ -373,6 +413,15 @@ def test_peak_mask_finds_the_per_bin_loop_detections(threshold_db):
     for seed in range(12):
         frame = synthesize_frame(_random_rows(rng, 1 + seed * 10), cfg, seed=seed)
         assert detect_points(frame, threshold_db) == _detect_per_bin(frame, threshold_db)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 200, 257])
+def test_noise_floor_median_is_bitwise_np_median(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        power = np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n)) ** 2 * 10 ** rng.uniform(-6, 6)
+        assert _median(power) == float(np.median(power))
+    assert _median(np.zeros(n)) == 0.0
 
 
 def test_peak_mask_handles_plateaus_and_edge_bins():

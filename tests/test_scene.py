@@ -82,12 +82,37 @@ def _template_per_call(lengths, depth):
     return joints
 
 
-@pytest.mark.parametrize("subject", [0, 1, 2])
+@pytest.mark.parametrize("subject", [0, 1, 2, 3])
 def test_template_is_bitwise_the_per_call_normalization(subject):
+    # subject 0 keeps the default lengths, which no lengths at all also give
     lengths = _subject_lengths(DEFAULT_BONE_LENGTHS, subject)
-    for depth in (DEPTH_MIN, REST_DEPTH, DEPTH_MAX):
-        got = skeleton_template(lengths, pelvis_depth=depth).joints
-        assert got.tobytes() == _template_per_call(lengths, depth).tobytes()
+    for depth in (DEPTH_MIN, 2.0345678901234, REST_DEPTH, DEPTH_MAX):
+        for bone_lengths in (lengths, None) if subject == 0 else (lengths,):
+            for _ in range(2):  # the first call may fill the per-lengths cache, the second reads it
+                got = skeleton_template(bone_lengths, pelvis_depth=depth).joints
+                assert got.tobytes() == _template_per_call(lengths, depth).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bone_lengths, match",
+    [
+        ({"femur": 0.4}, "^unknown bone length 'femur'"),
+        ({"thigh": math.nan}, "^bone length 'thigh' must be finite and > 0, got nan"),
+        ({"shin": math.inf}, "^bone length 'shin' must be finite and > 0, got inf"),
+        ({"spine": -0.2}, "^bone length 'spine' must be finite and > 0"),
+    ],
+)
+def test_bad_bone_lengths_are_rejected_by_key(bone_lengths, match):
+    with pytest.raises(ValueError, match=match):
+        skeleton_template(bone_lengths)
+    with pytest.raises(ValueError, match=match):
+        MotionConfig(bone_lengths=bone_lengths)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
+def test_motion_config_rejects_a_seed_that_is_not_a_count(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        MotionConfig(seed=seed)
 
 
 def test_template_depth_placement():
@@ -295,3 +320,16 @@ def test_generated_points_look_like_a_person(tmp_path):
             rng = math.sqrt(x * x + y * y + z * z)
             assert 0.5 < rng < 6.0
             assert math.isfinite(snr)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_frames", -3), ("n_frames", 0), ("n_frames", 2.5), ("n_frames", True),
+        ("density", True), ("density", 2.5), ("density", 0),
+    ],
+)
+def test_generate_dataset_rejects_a_bad_count_by_name(field, value):
+    cfg = MotionConfig(fps=5.0, duration_s=1.0, seed=1)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value!r}$"):
+        generate_dataset(["walk_toward"], cfg, **{field: value})
