@@ -165,8 +165,8 @@ def range_spectrum(frame: RawFrame, chirp: int, rx: int) -> np.ndarray:
     return np.fft.fft(frame.samples[chirp, rx])
 
 
-def bin_to_range(cfg: ChirpConfig, k: int) -> float:
-    """Range [m] represented by FFT bin ``k``."""
+def bin_to_range(cfg: ChirpConfig, k):
+    """Range [m] represented by FFT bin ``k`` (an int or an array of bins)."""
     return range_from_beat(k * cfg.sample_rate_hz / cfg.n_samples, cfg.slope_hz_per_s)
 
 
@@ -192,7 +192,7 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
     power = np.abs(s00) ** 2
     if not np.any(power > 0):
         return []
-    floor = max(_median(power), float(power.max()) * 10 ** (-SNR_CAP_DB / 10.0))
+    floor = max(float(np.median(power)), float(power.max()) * 10 ** (-SNR_CAP_DB / 10.0))
     gate = floor * 10 ** (threshold_db / 10.0)
 
     lam = cfg.wavelength_m
@@ -205,7 +205,7 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
     dphi_v = np.arctan2(im1 * re0 - re1 * im0, re1 * re0 + im1 * im0)
     re1, im1 = s01.real[peaks], s01.imag[peaks]
     dphi_a = np.arctan2(im1 * re0 - re1 * im0, re1 * re0 + im1 * im0)
-    ranges = range_from_beat(peaks * cfg.sample_rate_hz / cfg.n_samples, cfg.slope_hz_per_s)
+    ranges = bin_to_range(cfg, peaks)
     vels = velocity_from_phase(dphi_v, cfg.chirp_time_s, lam)
     sin_az = lam * dphi_a / (2.0 * math.pi * cfg.rx_spacing_m)
     return [
@@ -221,17 +221,6 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
             ranges.tolist(), vels.tolist(), sin_az.tolist(), (power[peaks] / floor).tolist()
         )
     ]
-
-
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a finite 1-D array, bit for bit, without its per-call overhead.
-
-    The same partition and, for an even count, the same mean of the middle
-    pair: ``(lower + upper) / 2``.
-    """
-    half = len(values) // 2
-    part = np.partition(values, (half - 1, half))
-    return float(part[half] if len(values) % 2 else (part[half - 1] + part[half]) / 2)
 
 
 def detections_to_points(detections: list[Detection]) -> np.ndarray:

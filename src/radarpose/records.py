@@ -51,10 +51,8 @@ def make_record(
 
 
 def _float_rows(rows) -> list:
-    """Rows of numbers as lists of Python floats; an array converts in one call."""
-    if isinstance(rows, np.ndarray):
-        return rows.astype(float, copy=False).tolist()
-    return [[float(v) for v in row] for row in rows]
+    """Rows of numbers (nested lists or a 2-D array) as lists of Python floats."""
+    return np.asarray(rows, dtype=float).tolist()
 
 
 def validate_record(rec: dict) -> dict:

@@ -8,7 +8,6 @@ from radarpose.fmcw import (
     Detection,
     SNR_CAP_DB,
     RawFrame,
-    _median,
     bin_to_range,
     detect_points,
     detections_to_points,
@@ -413,15 +412,6 @@ def test_peak_mask_finds_the_per_bin_loop_detections(threshold_db):
     for seed in range(12):
         frame = synthesize_frame(_random_rows(rng, 1 + seed * 10), cfg, seed=seed)
         assert detect_points(frame, threshold_db) == _detect_per_bin(frame, threshold_db)
-
-
-@pytest.mark.parametrize("n", [8, 9, 16, 17, 200, 257])
-def test_noise_floor_median_is_bitwise_np_median(n):
-    rng = np.random.default_rng(n)
-    for _ in range(50):
-        power = np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n)) ** 2 * 10 ** rng.uniform(-6, 6)
-        assert _median(power) == float(np.median(power))
-    assert _median(np.zeros(n)) == 0.0
 
 
 def test_peak_mask_handles_plateaus_and_edge_bins():
