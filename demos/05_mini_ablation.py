@@ -3,7 +3,9 @@
 
 Runs exactly what `radarpose ablate` runs (dual-view CNN, dual-view MLP,
 single-view point network, and the one-radar configuration) on a small
-dataset so it finishes in about a minute, and prints the metrics table.
+dataset so it finishes in about 20 s, and prints the metrics table. At this
+scale 40 epochs (160 steps of 32 frames) are what lets every row beat the
+mean-pose baseline; with 6 epochs no row did.
 The test split holds one 0.6 s sequence of each action and subject, so the
 arm-swing columns are filled: a swing sequence raises its arm from 0.45 s
 on. Every file the run writes goes to a temporary directory that is removed
@@ -22,7 +24,7 @@ with tempfile.TemporaryDirectory(prefix="radarpose_ablation_") as tmp:
         n_train=160,
         n_test=96,  # 8 sequences (4 actions x 2 subjects) of 12 frames
         duration_s=0.6,
-        epochs=6,
+        epochs=40,
         seed=42,
         keep_files=True,
     )

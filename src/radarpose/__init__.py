@@ -30,12 +30,11 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
-    mse_loss,
     predict_batch,
     save_checkpoint,
     tnet_forward,
     train,
 )
-from .harness import AblationConfig, JointSets, MetricsReport, arm_swing_score, evaluate, run_ablation
+from .harness import AblationConfig, MetricsReport, arm_swing_score, evaluate, run_ablation
 
 __version__ = "0.1.0"

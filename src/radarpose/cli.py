@@ -18,7 +18,6 @@ from pathlib import Path
 from .gradcheck import DEFAULT_RTOL, run_gradient_checks
 from .harness import (
     AblationConfig,
-    JointSets,
     evaluate,
     frames_from_records,
     loss_curve_svg,
@@ -210,9 +209,9 @@ def cmd_eval(args) -> int:
     frames = frames_from_records(records)
     examples = examples_from_frames(frames, params.config.n_max)
     preds = predict_batch(params, examples)
-    joint_sets = JointSets(included=params.config.included_joints)
-    row = evaluate(preds, [f.gt for f in frames], joint_sets, name=params.config.variant)
-    text = report_to_csv(MetricsReport(rows=[row]), args.report, joint_sets)
+    included = params.config.included_joints
+    row = evaluate(preds, [f.gt for f in frames], included, name=params.config.variant)
+    text = report_to_csv(MetricsReport(rows=[row]), args.report, included)
     print(text, end="")
     if args.report:
         joints_path = Path(args.report).with_suffix(".joints.csv")

@@ -39,7 +39,6 @@ class RawFrame:
 
     samples: np.ndarray
     config: ChirpConfig
-    timestamp_ms: int = 0
 
     def __post_init__(self):
         expected = (self.config.n_chirps, 2, self.config.n_samples)
@@ -49,12 +48,12 @@ class RawFrame:
 
 @dataclass
 class Detection:
-    """One recovered point in polar radar coordinates."""
+    """One recovered point in polar radar coordinates, in the boresight plane
+    (the two RX antennas resolve azimuth only)."""
 
     range_m: float
     radial_velocity: float
     azimuth_rad: float
-    elevation_rad: float
     snr_db: float
 
     def __post_init__(self):
@@ -68,12 +67,7 @@ class Detection:
 _REFLECTOR_COLUMNS = ("x", "y", "z", "radial velocity", "amplitude")
 
 
-def synthesize_frame(
-    reflectors: np.ndarray,
-    cfg: ChirpConfig,
-    seed: int,
-    timestamp_ms: int = 0,
-) -> RawFrame:
+def synthesize_frame(reflectors: np.ndarray, cfg: ChirpConfig, seed: int) -> RawFrame:
     """Simulate the IF samples of one frame from (R, 5) reflector rows.
 
     Each sample is the coherent sum over reflectors of
@@ -138,7 +132,7 @@ def synthesize_frame(
         scale = cfg.noise_std / math.sqrt(2.0)
         samples.real += scale * rng.standard_normal(samples.shape)
         samples.imag += scale * rng.standard_normal(samples.shape)
-    return RawFrame(samples=samples, config=cfg, timestamp_ms=timestamp_ms)
+    return RawFrame(samples=samples, config=cfg)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -176,7 +170,7 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
     Peaks are local maxima of chirp 0 / RX 0 spectral power exceeding the
     noise floor (median power) by ``threshold_db``. Velocity comes from the
     chirp-0/chirp-1 phase difference at the peak bin, azimuth from the
-    RX0/RX1 phase difference; elevation is fixed at the boresight plane.
+    RX0/RX1 phase difference.
     Non-finite IF samples are rejected, naming the chirp and the RX.
     """
     if not math.isfinite(threshold_db):
@@ -214,7 +208,6 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
             radial_velocity=vel,
             # clip: noise can push the implied sine epsilon past the field edge
             azimuth_rad=math.asin(min(max(sin, -1.0), 1.0)),
-            elevation_rad=0.0,
             snr_db=min(10.0 * math.log10(ratio), SNR_CAP_DB),
         )
         for rng_m, vel, sin, ratio in zip(
@@ -224,13 +217,12 @@ def detect_points(frame: RawFrame, threshold_db: float = DEFAULT_THRESHOLD_DB) -
 
 
 def detections_to_points(detections: list[Detection]) -> np.ndarray:
-    """Spherical-to-Cartesian conversion into the radar frame.
+    """Polar-to-Cartesian conversion into the radar frame's boresight plane.
 
-    Returns (N, 5) rows [x, y, z, radial velocity, SNR dB].
+    Returns (N, 5) rows [x, y, z, radial velocity, SNR dB], z = 0.
     """
     rows = []
     for d in detections:
         ca, sa = math.cos(d.azimuth_rad), math.sin(d.azimuth_rad)
-        ce, se = math.cos(d.elevation_rad), math.sin(d.elevation_rad)
-        rows.append([d.range_m * sa * ce, d.range_m * ca * ce, d.range_m * se, d.radial_velocity, d.snr_db])
+        rows.append([d.range_m * sa, d.range_m * ca, 0.0, d.radial_velocity, d.snr_db])
     return np.array(rows, dtype=float).reshape(-1, 5)

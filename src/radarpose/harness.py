@@ -6,8 +6,8 @@ along the depth (world y) axis, and the arm-swing recognition percentage.
 
 The swing-recognition rule is this workbench's own definition: a swing
 frame (ground-truth swing_state of "left" or "right") counts as correct
-when the predicted elbow on that side sits at least ``margin_cm`` above the
-predicted opposite elbow.
+when the predicted elbow on that side sits at least ``SWING_MARGIN_CM``
+above the predicted opposite elbow.
 """
 
 from __future__ import annotations
@@ -20,26 +20,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    Hyper,
-    ModelConfig,
-    examples_from_frames,
-    predict_batch,
-    train,
-)
+from .model import Hyper, ModelConfig, examples_from_frames, predict_batch, save_checkpoint, split_indices, train
 from .physics import ChirpConfig
 from .pointcloud import (
     DEFAULT_EPS_M,
     DEFAULT_MIN_PTS,
-    DEFAULT_POSES,
+    DEFAULT_WINDOW_MS,
     FusedFrame,
+    check_dbscan_args,
+    check_window_ms,
     fuse_records,
     normalize_snr,
 )
-from .records import read_jsonl, write_jsonl
+from .records import validate_record, write_jsonl
 from .scene import (
     ACTIONS,
     ARM_JOINTS,
+    DATASET_DENSITY,
+    DATASET_NOISE_STD,
+    DATASET_THRESHOLD_DB,
     JOINT_INDEX,
     LOWER_BODY_JOINTS,
     MotionConfig,
@@ -51,19 +50,8 @@ SWING_MARGIN_CM = 5.0
 TEST_SEED_OFFSET = 1000
 
 
-@dataclass(frozen=True)
-class JointSets:
-    """Named joint groups the metrics are computed over; all configurable."""
-
-    included: tuple = ModelConfig().included_joints
-    lower_body: tuple = LOWER_BODY_JOINTS
-    arms: tuple = ARM_JOINTS
-
-    def __post_init__(self):
-        for group in (self.included, self.lower_body, self.arms):
-            unknown = [j for j in group if j not in JOINT_INDEX]
-            if unknown:
-                raise ValueError(f"unknown joints: {unknown}")
+#: the joints the default model predicts, which the metrics cover by default
+DEFAULT_INCLUDED = ModelConfig().included_joints
 
 
 @dataclass
@@ -87,14 +75,15 @@ class MetricsReport:
 def frames_from_records(records: list[dict]) -> list[FusedFrame]:
     """Materialize fused JSONL records into in-memory frames.
 
-    Only preprocessed records (``"fused": true``: world-frame points,
-    normalized SNR) are accepted, each ``frame_id`` at most once; every
-    point value must be finite and ``gt`` must be 32 finite ``[x, y, z]``
-    rows. Each error names the frame.
+    Each record must pass :func:`~radarpose.records.validate_record`; only
+    preprocessed records (``"fused": true``: world-frame points, normalized
+    SNR) are accepted, each ``frame_id`` at most once, and every point and
+    joint value must be finite. Each error names the frame.
     """
     frames = []
     seen = set()
     for rec in records:
+        validate_record(rec)
         fid = rec["frame_id"]
         if rec.get("fused") is not True:
             raise ValueError(f"frame {fid}: not a fused record (run preprocess first)")
@@ -112,22 +101,27 @@ def frames_from_records(records: list[dict]) -> list[FusedFrame]:
                 subject_id=rec["subject"],
                 swing_state=rec["swing_state"],
             )
-        except ValueError as exc:  # ragged, non-numeric, mis-shaped or non-finite joints
+        except ValueError as exc:  # non-numeric or non-finite joints
             raise ValueError(f"frame {fid}: gt is not 32 finite [x, y, z] rows ({exc})") from None
         frames.append(FusedFrame(points=points, gt=gt, frame_id=fid))
     return frames
 
 
-def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets | None = None,
+def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], included: tuple = DEFAULT_INCLUDED,
              name: str = "model") -> VariantMetrics:
     """MAE metrics (cm) of aligned predictions and ground-truth frames.
 
     ``preds`` is an (F, 32, 3) array in metres, such as
     :func:`~radarpose.model.predict_batch` returns (NaN rows allowed for
     absent joints); ``gts`` the F ground-truth frames, whose action and
-    swing-state labels select the swing frames.
+    swing-state labels select the swing frames. The overall, depth and
+    per-joint MAEs cover the ``included`` joints; an unknown name raises.
+    The lower-body and arm MAEs cover ``LOWER_BODY_JOINTS`` and
+    ``ARM_JOINTS``.
     """
-    js = joint_sets or JointSets()
+    unknown = [j for j in included if j not in JOINT_INDEX]
+    if unknown:
+        raise ValueError(f"unknown joints: {unknown}")
     gt = np.stack([g.joints for g in gts])
     if preds.shape != gt.shape:
         raise ValueError(f"prediction/ground-truth mismatch: {preds.shape} vs {gt.shape}")
@@ -135,9 +129,9 @@ def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets 
         raise ValueError("no frames to evaluate")
 
     err_cm = np.abs(preds - gt) * 100.0  # (F, 32, 3)
-    inc = np.array([JOINT_INDEX[j] for j in js.included])
-    lower = np.array([JOINT_INDEX[j] for j in js.lower_body])
-    arms = np.array([JOINT_INDEX[j] for j in js.arms])
+    inc = np.array([JOINT_INDEX[j] for j in included])
+    lower = np.array([JOINT_INDEX[j] for j in LOWER_BODY_JOINTS])
+    arms = np.array([JOINT_INDEX[j] for j in ARM_JOINTS])
     swing_mask = np.array([g.action in ("swing_right", "swing_left") for g in gts])
 
     mae_all = float(np.mean(err_cm[:, inc, :]))
@@ -147,7 +141,7 @@ def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets 
         mae_arms = float(np.mean(err_cm[swing_mask][:, arms, :]))
     else:
         mae_arms = None
-    per_joint = {j: float(np.mean(err_cm[:, JOINT_INDEX[j], :])) for j in js.included}
+    per_joint = {j: float(np.mean(err_cm[:, JOINT_INDEX[j], :])) for j in included}
 
     return VariantMetrics(
         name=name,
@@ -155,16 +149,16 @@ def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], joint_sets: JointSets 
         mae_arms_swing_cm=mae_arms,
         mae_lower_cm=mae_lower,
         mae_depth_cm=mae_depth,
-        arm_swing_pct=arm_swing_score(preds, gts, SWING_MARGIN_CM),
+        arm_swing_pct=arm_swing_score(preds, gts),
         per_joint_mae_cm=per_joint,
     )
 
 
-def arm_swing_score(preds, gts, margin_cm: float = SWING_MARGIN_CM) -> float | None:
+def arm_swing_score(preds, gts) -> float | None:
     """Percentage of swing frames whose raised arm the prediction gets right.
 
     A frame counts when the predicted elbow on the ground-truth swing side
-    exceeds the opposite predicted elbow by at least ``margin_cm``. Returns
+    exceeds the opposite predicted elbow by at least ``SWING_MARGIN_CM``. Returns
     None when the ground truth holds no swing frames.
     """
     el = {side: JOINT_INDEX[f"elbow_{side}"] for side in ("left", "right")}
@@ -176,7 +170,7 @@ def arm_swing_score(preds, gts, margin_cm: float = SWING_MARGIN_CM) -> float | N
         total += 1
         other = "right" if state == "left" else "left"
         lift_cm = (preds[i, el[state], 2] - preds[i, el[other], 2]) * 100.0
-        if math.isfinite(lift_cm) and lift_cm >= margin_cm:
+        if math.isfinite(lift_cm) and lift_cm >= SWING_MARGIN_CM:
             correct += 1
     if total == 0:
         return None
@@ -196,11 +190,10 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
-def report_header(joint_sets: JointSets | None = None) -> list[str]:
-    n = len((joint_sets or JointSets()).included)
+def report_header(included: tuple = DEFAULT_INCLUDED) -> list[str]:
     return [
         "Model",
-        f"MAE across {n} key points",
+        f"MAE across {len(included)} key points",
         "MAE when swinging arms",
         "MAE of the lower body",
         "MAE in the Depth direction",
@@ -208,9 +201,9 @@ def report_header(joint_sets: JointSets | None = None) -> list[str]:
     ]
 
 
-def report_to_csv(report: MetricsReport, path, joint_sets: JointSets | None = None) -> str:
+def report_to_csv(report: MetricsReport, path, included: tuple = DEFAULT_INCLUDED) -> str:
     """Write the metrics table; returns the CSV text (LF endings)."""
-    lines = [",".join(report_header(joint_sets))]
+    lines = [",".join(report_header(included))]
     for row in report.rows:
         lines.append(
             ",".join(
@@ -238,14 +231,13 @@ def per_joint_csv(rows: list, path) -> str:
     for j in joints:
         lines.append(",".join([j, *[_fmt(r.per_joint_mae_cm.get(j)) for r in rows]]))
     text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
     return text
 
 
-def loss_curve_svg(history: list[dict], path, width: int = 640, height: int = 360) -> str:
-    """Tiny standalone SVG of train/validation loss on a log-ish scale."""
-    pad = 40
+def loss_curve_svg(history: list[dict], path) -> str:
+    """Tiny standalone 640 x 360 SVG of train/validation loss on a log-ish scale."""
+    width, height, pad = 640, 360, 40
     train_pts = [(h["epoch"], h["train_loss"]) for h in history]
     val_pts = [(h["epoch"], h["val_loss"]) for h in history if not math.isnan(h["val_loss"])]
     all_vals = [v for _, v in train_pts + val_pts if v > 0]
@@ -274,8 +266,7 @@ def loss_curve_svg(history: list[dict], path, width: int = 640, height: int = 36
         f"{polyline(train_pts, '#1f77b4')}{polyline(val_pts, '#ff7f0e')}"
         f"</svg>"
     )
-    if path is not None:
-        Path(path).write_text(svg, encoding="utf-8")
+    Path(path).write_text(svg, encoding="utf-8")
     return svg
 
 
@@ -291,20 +282,20 @@ class AblationConfig:
     n_train: int = 2000
     n_test: int = 500
     seed: int = 42
-    fps: float = 20.0
-    duration_s: float = 3.0
-    walk_speed: float = 0.5
+    fps: float = MotionConfig.fps
+    duration_s: float = MotionConfig.duration_s
+    walk_speed: float = MotionConfig.walk_speed
     actions: tuple = ACTIONS
     subjects: tuple = (0, 1)
-    density: int = 4
-    noise_std: float = 0.3
-    threshold_db: float = 8.0
-    window_ms: float = 50.0
+    density: int = DATASET_DENSITY
+    noise_std: float = DATASET_NOISE_STD
+    threshold_db: float = DATASET_THRESHOLD_DB
+    window_ms: float = DEFAULT_WINDOW_MS
     eps: float = DEFAULT_EPS_M
     min_pts: int = DEFAULT_MIN_PTS
-    n_max: int = 64
-    lr: float = 1e-3
-    batch: int = 32
+    n_max: int = ModelConfig.n_max
+    lr: float = Hyper.lr
+    batch: int = Hyper.batch
     epochs: int = 12
     train_seed: int = 0
     keep_files: bool = True
@@ -318,10 +309,8 @@ ABLATION_ROWS = (
 )
 
 
-def _split_digest(n_frames: int, frame_ids, hyper: Hyper) -> str:
-    from .model import split_indices
-
-    train_idx, val_idx = split_indices(n_frames, hyper.seed, hyper.val_fraction)
+def _split_digest(frame_ids, hyper: Hyper) -> str:
+    train_idx, val_idx = split_indices(len(frame_ids), hyper.seed, hyper.val_fraction)
     ids = np.asarray(frame_ids)
     doc = {
         "seed": hyper.seed,
@@ -332,34 +321,24 @@ def _split_digest(n_frames: int, frame_ids, hyper: Hyper) -> str:
 
 
 def _pipeline(records, radar_ids, cfg: AblationConfig, snr_bounds=None):
-    fused = fuse_records(
-        records,
-        poses=DEFAULT_POSES,
-        radar_ids=radar_ids,
-        window_ms=cfg.window_ms,
-        eps=cfg.eps,
-        min_pts=cfg.min_pts,
-    )
-    fused, bounds = normalize_snr(fused, snr_bounds)
-    return fused, bounds
+    """Fused, SNR-scaled records and the SNR bounds used."""
+    fused = fuse_records(records, radar_ids=radar_ids, window_ms=cfg.window_ms, eps=cfg.eps, min_pts=cfg.min_pts)
+    return normalize_snr(fused, snr_bounds)
 
 
 def simulate_split(cfg: AblationConfig, out_dir: Path | None = None):
     """Generate the raw train and test record streams (disjoint seeds)."""
     motion = MotionConfig(fps=cfg.fps, duration_s=cfg.duration_s, walk_speed=cfg.walk_speed, seed=cfg.seed)
     chirp = ChirpConfig(noise_std=cfg.noise_std)
-    train_records = generate_dataset(
-        cfg.actions, motion, chirp_cfg=chirp, n_frames=cfg.n_train,
-        subjects=cfg.subjects, density=cfg.density, threshold_db=cfg.threshold_db,
-        out_path=None if out_dir is None else Path(out_dir) / "train_raw.jsonl",
-    )
-    test_motion = replace(motion, seed=cfg.seed + TEST_SEED_OFFSET)
-    test_records = generate_dataset(
-        cfg.actions, test_motion, chirp_cfg=chirp, n_frames=cfg.n_test,
-        subjects=cfg.subjects, density=cfg.density, threshold_db=cfg.threshold_db,
-        out_path=None if out_dir is None else Path(out_dir) / "test_raw.jsonl",
-    )
-    return train_records, test_records
+
+    def split(name: str, seed: int, n_frames: int) -> list[dict]:
+        return generate_dataset(
+            cfg.actions, replace(motion, seed=seed), chirp_cfg=chirp, n_frames=n_frames,
+            subjects=cfg.subjects, density=cfg.density, threshold_db=cfg.threshold_db,
+            out_path=None if out_dir is None else Path(out_dir) / f"{name}_raw.jsonl",
+        )
+
+    return split("train", cfg.seed, cfg.n_train), split("test", cfg.seed + TEST_SEED_OFFSET, cfg.n_test)
 
 
 def run_ablation(cfg: AblationConfig) -> MetricsReport:
@@ -370,15 +349,15 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
     (rows ordered as in ABLATION_ROWS, plus the mean-pose baseline) and
     leaves CSV writing to the caller.
     """
-    # hyperparameters and model configs are checked before simulating
+    # fusion settings, hyperparameters and model configs are checked before simulating
+    check_window_ms(cfg.window_ms)
+    check_dbscan_args(cfg.eps, cfg.min_pts)
     hyper = Hyper(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs, seed=cfg.train_seed)
     model_cfgs = [ModelConfig(variant=variant, n_max=cfg.n_max, seed=cfg.train_seed) for _, variant, _ in ABLATION_ROWS]
     workdir = Path(cfg.workdir)
-    out_dir = None
     if cfg.keep_files:
         workdir.mkdir(parents=True, exist_ok=True)
-        out_dir = workdir
-    train_records, test_records = simulate_split(cfg, out_dir)
+    train_records, test_records = simulate_split(cfg, workdir if cfg.keep_files else None)
 
     pipelines = {}
     for key, radar_ids in (("both", (0, 1)), ("radar_a", (0,))):
@@ -397,27 +376,22 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
             "snr_bounds": bounds,
         }
 
-    joint_sets = JointSets()
     report = MetricsReport(rows=[])
 
     base = pipelines["both"]
     baseline_pose = mean_pose_baseline(base["train_gts"])
     baseline_pred = np.tile(baseline_pose, (len(base["test_gts"]), 1, 1))
-    report.baseline = evaluate(baseline_pred, base["test_gts"], joint_sets, name="Mean-pose baseline")
+    report.baseline = evaluate(baseline_pred, base["test_gts"], name="Mean-pose baseline")
 
     for (name, variant, pipeline_key), mcfg in zip(ABLATION_ROWS, model_cfgs):
         data = pipelines[pipeline_key]
         params, history = train(mcfg, data["train"], hyper)
         params.snr_bounds = data["snr_bounds"]
         preds = predict_batch(params, data["test"])
-        row = evaluate(preds, data["test_gts"], joint_sets, name=name)
+        row = evaluate(preds, data["test_gts"], name=name)
         report.rows.append(row)
-        report.split_digests[name] = _split_digest(
-            len(data["train"]), data["train"].frame_ids, hyper
-        )
+        report.split_digests[name] = _split_digest(data["train"].frame_ids, hyper)
         if cfg.keep_files:
-            from .model import save_checkpoint
-
             tag = variant if pipeline_key == "both" else f"{variant}_{pipeline_key}"
             save_checkpoint(params, workdir / f"ckpt_{tag}.json")
             loss_curve_svg(history, workdir / f"loss_{tag}.svg")

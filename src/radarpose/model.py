@@ -33,24 +33,18 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
 from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse, no_tape
+from .physics import require_count
 from .pointcloud import FusedFrame, build_cloud, build_views
 from .scene import DEFAULT_EXCLUDED_JOINTS, JOINT_INDEX, JOINT_NAMES, N_JOINTS
 
 VARIANTS = ("dual_cnn", "dual_mlp", "single_pointnet")
-
-MAX_OUTPUT_LABELS = 96  # 32 joints x 3 coordinates
-
-
-def _require_size(name: str, value) -> None:
-    """Reject a layer size that is not an integer >= 1, naming its field."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,28 +67,29 @@ class ModelConfig:
         unknown = [j for j in self.excluded_joints if j not in JOINT_INDEX]
         if unknown:
             raise ValueError(f"unknown excluded joints: {unknown}")
-        if not 1 <= self.n_joints_out <= N_JOINTS:
+        if not self.included_joints:
             raise ValueError("need between 1 and 32 included joints")
-        if self.output_width > MAX_OUTPUT_LABELS:
-            raise ValueError(f"output width {self.output_width} exceeds {MAX_OUTPUT_LABELS}")
-        _require_size("n_max", self.n_max)
+        store = partial(object.__setattr__, self)
+        store("n_max", require_count("n_max", self.n_max, 1))
         if self.n_max < 2:
             raise ValueError("n_max must be >= 2")
+        store("seed", require_count("seed", self.seed, 0))
         for field in ("row_mlp_spec", "pointnet_mlp_spec"):
             if not getattr(self, field):
                 raise ValueError(f"{field} needs at least one layer")
         widths = ("row_mlp_spec", "pointnet_mlp_spec", "pointnet_head_spec", "mlp_head_spec", "tnet_row_spec",
                   "tnet_head_spec")
         for field in widths:
-            for i, width in enumerate(getattr(self, field)):
-                _require_size(f"{field}[{i}]", width)
+            store(field, tuple(require_count(f"{field}[{i}]", w, 1) for i, w in enumerate(getattr(self, field))))
+        stages = []
         for i, stage in enumerate(self.conv_spec):
             if not isinstance(stage, tuple) or len(stage) != 3:
                 raise ValueError(f"conv_spec[{i}] must be (channels, kernel, pool), got {stage!r}")
-            for part, value in zip(("channels", "kernel", "pool"), stage):
-                _require_size(f"conv_spec[{i}] {part}", value)
+            stages.append(tuple(require_count(f"conv_spec[{i}] {part}", value, 1)
+                                for part, value in zip(("channels", "kernel", "pool"), stage)))
             if stage[1] % 2 == 0:
                 raise ValueError(f"conv_spec[{i}] kernel must be odd, got {stage[1]}")
+        store("conv_spec", tuple(stages))
         if self.variant == "dual_cnn":
             h, w = self.n_max, 4
             for channels, kernel, pool in self.conv_spec:
@@ -351,15 +346,17 @@ def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = Non
     return out.data, transform.data
 
 
-def forward(cfg: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
+def forward(params: ModelParams, inputs) -> np.ndarray:
     """Predict (B, 3J) normalized joint coordinates of a packed batch.
 
-    ``inputs`` is :meth:`ExampleSet.inputs_for`'s form: a ``(view_xy,
-    view_yz)`` pair of (B, n_max, 4) arrays, or a (B, n_max, 3) cloud for
-    ``single_pointnet``; any other shape raises ``ValueError``. So does an
-    input row that holds a NaN or inf, named by example and row: the ReLUs
-    would otherwise map it to a finite prediction.
+    The network is ``params.config``'s. ``inputs`` is
+    :meth:`ExampleSet.inputs_for`'s form: a ``(view_xy, view_yz)`` pair of
+    (B, n_max, 4) arrays, or a (B, n_max, 3) cloud for ``single_pointnet``;
+    any other shape raises ``ValueError``. So does an input row that holds a
+    NaN or inf, named by example and row: the ReLUs would otherwise map it to
+    a finite prediction.
     """
+    cfg = params.config
     tensors = _prepare_inputs(cfg, inputs)
     for key, t in tensors.items():
         bad = np.argwhere(~np.isfinite(t.data).all(axis=-1))
@@ -370,21 +367,13 @@ def forward(cfg: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
         return _forward_graph(cfg, _wrap_params(params.params), tensors).data
 
 
-def mse_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean squared error over all outputs; 0 iff pred == gt."""
-    pred = np.asarray(pred, dtype=float)
-    gt = np.asarray(gt, dtype=float)
-    if pred.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    return float(np.mean((pred - gt) ** 2))
-
-
-def backward(cfg: ModelConfig, params: ModelParams, inputs, gt: np.ndarray):
+def backward(params: ModelParams, inputs, gt: np.ndarray):
     """Loss and exact gradients of the MSE w.r.t. every parameter.
 
     ``inputs`` is a packed batch as for :func:`forward`; ``gt`` lives in the
     normalized output space, shaped like the output.
     """
+    cfg = params.config
     tensors = _prepare_inputs(cfg, inputs)
     gt = np.asarray(gt, dtype=float)
     pt = _wrap_params(params.params)
@@ -409,8 +398,9 @@ class Hyper:
     lr_decay: float = 1.0  # per-epoch multiplicative decay
 
     def __post_init__(self):
-        _require_size("batch", self.batch)
-        _require_size("epochs", self.epochs)
+        self.batch = require_count("batch", self.batch, 1)
+        self.epochs = require_count("epochs", self.epochs, 1)
+        self.seed = require_count("seed", self.seed, 0)
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 <= self.val_fraction < 1:
@@ -492,8 +482,7 @@ def target_bounds(cfg: ModelConfig, gt: np.ndarray) -> tuple[np.ndarray, np.ndar
 ADAM_BLOCK = 32768
 
 
-def _adam_step(p: np.ndarray, grads: list, state: tuple, lr: float, t: int,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def _adam_step(p: np.ndarray, grads: list, state: tuple, lr: float, t: int):
     """One Adam update (Kingma & Ba, arXiv:1412.6980) of the flat vector ``p``, in place.
 
     ``grads`` holds each parameter's gradient as ``backward`` left it, in
@@ -509,6 +498,7 @@ def _adam_step(p: np.ndarray, grads: list, state: tuple, lr: float, t: int,
     scratch arrays. A block inside one gradient reads it in place; a block
     that spans several is first copied into a third scratch array.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     m, v = state
     size = p.size
     scratch, scratch2, gather = (np.empty(min(size, ADAM_BLOCK)) for _ in range(3))
@@ -596,7 +586,7 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
         total, count = 0.0, 0
         for start in range(0, len(shuffled), hyper.batch):
             idx = shuffled[start : start + hyper.batch]
-            loss, named = backward(cfg, mp, examples.inputs_for(cfg, idx), targets[idx])
+            loss, named = backward(mp, examples.inputs_for(cfg, idx), targets[idx])
             step += 1
             grads = [named[k] for k in mp.params]
             # a NaN input can leave the loss finite (ReLU zeroes it) yet reach
@@ -612,8 +602,9 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
             count += len(idx)
         train_loss = total / count
         if len(val_idx):
-            val_pred = forward(cfg, mp, examples.inputs_for(cfg, val_idx))
-            val_loss = mse_loss(val_pred, targets[val_idx])
+            val_pred = forward(mp, examples.inputs_for(cfg, val_idx))
+            with no_tape():
+                val_loss = float(mse(val_pred, targets[val_idx]).data)
         else:
             val_loss = math.nan
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
@@ -644,7 +635,7 @@ def predict_batch(params: ModelParams, examples: ExampleSet) -> np.ndarray:
         raise ValueError("params carry no normalization constants; train first")
     if len(examples) == 0:
         raise ValueError("prediction dataset is empty")
-    out = forward(cfg, params, examples.inputs_for(cfg))
+    out = forward(params, examples.inputs_for(cfg))
     return _denormalize(cfg, out, params.gt_min, params.gt_max)
 
 

@@ -137,10 +137,12 @@ def angle_from_phase(dphi_rad: float, rx_spacing_m: float, wavelength_m: float) 
     return math.asin(sin_az)
 
 
-def require_count(name: str, value, low: int) -> None:
-    """Reject a value that is not an integer (a bool is not) >= ``low``, naming its field."""
+def require_count(name: str, value, low: int) -> int:
+    """``value`` as an ``int`` (what configs store, and ``json.dumps`` takes); a value
+    that is not an integer (a bool is not) >= ``low`` raises, naming its field."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,8 @@ class ChirpConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        require_count("n_samples", self.n_samples, 8)
-        require_count("n_chirps", self.n_chirps, 2)
+        for name, low in (("n_samples", 8), ("n_chirps", 2)):
+            object.__setattr__(self, name, require_count(name, getattr(self, name), low))
         # `nan > 0` is False, so a NaN noise_std would silently add no noise
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")

@@ -88,9 +88,18 @@ def rotate_to_radar(vec: np.ndarray, pose: RadarPose) -> np.ndarray:
     return np.asarray(vec, dtype=float) @ rot
 
 
-def _check_window_ms(window_ms: float) -> None:
+def check_window_ms(window_ms: float) -> None:
+    """Reject a stream-alignment window that is negative or not finite."""
     if not (math.isfinite(window_ms) and window_ms >= 0):
         raise ValueError(f"window_ms must be finite and >= 0, got {window_ms}")
+
+
+def check_dbscan_args(eps: float, min_pts: int) -> None:
+    """Reject a DBSCAN radius that is not > 0 (NaN included) or a ``min_pts`` below 1."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
 
 
 def align_streams(ta, tb, window_ms: float) -> list[tuple[int, int]]:
@@ -102,7 +111,7 @@ def align_streams(ta, tb, window_ms: float) -> list[tuple[int, int]]:
     sorted by the a-side timestamp. An unsorted sequence or a negative or
     non-finite ``window_ms`` raises.
     """
-    _check_window_ms(window_ms)
+    check_window_ms(window_ms)
     for name, ts in (("stream_a", ta), ("stream_b", tb)):
         if any(t2 < t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError(f"{name} is not sorted by timestamp")
@@ -134,10 +143,7 @@ def dbscan(xyz, eps: float, min_pts: int) -> np.ndarray:
     Deterministic: seeds are scanned in ascending index order and each
     cluster expands breadth-first through ascending-index neighborhoods.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
+    check_dbscan_args(eps, min_pts)
     pts = np.asarray(xyz, dtype=float)
     n = len(pts)
     if n == 0:
@@ -246,6 +252,7 @@ def _transform_record_points(rec: dict, pose: RadarPose) -> np.ndarray:
     return pts
 
 
+DEFAULT_WINDOW_MS = 50.0
 DEFAULT_EPS_M = 0.4
 DEFAULT_MIN_PTS = 3
 
@@ -254,7 +261,7 @@ def fuse_records(
     records: list[dict],
     poses=DEFAULT_POSES,
     radar_ids=(0, 1),
-    window_ms: float = 50.0,
+    window_ms: float = DEFAULT_WINDOW_MS,
     eps: float = DEFAULT_EPS_M,
     min_pts: int = DEFAULT_MIN_PTS,
 ) -> list[dict]:
@@ -262,11 +269,19 @@ def fuse_records(
 
     With two radar ids, the streams are timestamp-aligned and merged before
     clustering; with one, each frame is transformed and denoised alone.
-    A negative or non-finite ``window_ms`` raises in both modes.
+    A negative or non-finite ``window_ms``, a bad ``eps`` or ``min_pts``, a
+    repeated radar id and an id with no pose in ``poses`` raise in both
+    modes, before any record is read.
     """
-    _check_window_ms(window_ms)
+    check_window_ms(window_ms)
+    check_dbscan_args(eps, min_pts)
     if len(radar_ids) not in (1, 2):
         raise ValueError("radar_ids must name one or two radars")
+    for i, rid in enumerate(radar_ids):
+        if not 0 <= rid < len(poses):
+            raise ValueError(f"radar id {rid} has no pose; the poses cover radar ids 0 to {len(poses) - 1}")
+        if rid in radar_ids[:i]:
+            raise ValueError(f"radar id {rid} is repeated in radar_ids {tuple(radar_ids)}")
     streams = {
         rid: sorted((r for r in records if r["radar_id"] == rid), key=lambda r: (r["t_ms"], r["frame_id"]))
         for rid in radar_ids

@@ -55,31 +55,58 @@ def _float_rows(rows) -> list:
     return np.asarray(rows, dtype=float).tolist()
 
 
-def validate_record(rec: dict) -> dict:
+def _rows_of(rows, width: int) -> bool:
+    """Whether ``rows`` is a list of rows of ``width`` values."""
+    try:
+        return list(map(len, rows)).count(width) == len(rows)
+    except TypeError:  # not a list of rows
+        return False
+
+
+def validate_record(rec) -> dict:
+    """Check a record's layout, naming its frame: every key, 32 ``[x, y, z]`` rows in
+    ``gt``, ``[x, y, z, v, snr]`` points (values are checked where they become arrays)."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record is a {type(rec).__name__}, not an object")
     for k in ("frame_id", "t_ms", "radar_id", "points", "gt", "action", "subject", "swing_state"):
         if k not in rec:
             raise ValueError(f"record missing key {k!r}")
-    if len(rec["gt"]) != 32:
-        raise ValueError(f"gt must hold 32 joints, got {len(rec['gt'])}")
-    for p in rec["points"]:
-        if len(p) != 5:
-            raise ValueError("each point must be [x, y, z, v, snr]")
+    fid, gt = rec["frame_id"], rec["gt"]
+    if not (_rows_of(gt, 3) and len(gt) == 32):
+        got = f"{len(gt)} rows" if _rows_of(gt, 3) else "rows that are not 3 values each"
+        raise ValueError(f"frame {fid}: gt is not 32 finite [x, y, z] rows (got {got})")
+    if not _rows_of(rec["points"], 5):
+        raise ValueError(f"frame {fid}: points are not [x, y, z, v, snr] rows")
     return rec
 
 
 def write_jsonl(path, records) -> None:
-    """Write records as UTF-8 JSON Lines with LF endings."""
+    """Write records as UTF-8 JSON Lines with LF endings; a NaN or inf raises, naming the frame."""
     path = Path(path)
+    encoder = json.JSONEncoder(allow_nan=False)  # json.dumps' settings otherwise
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            try:
+                line = encoder.encode(rec)
+            except ValueError as exc:
+                raise ValueError(f"{path}: frame {rec.get('frame_id')}: {exc}") from None
+            fh.write(line + "\n")
 
 
 def read_jsonl(path) -> list[dict]:
+    """Read JSON Lines records checked by :func:`validate_record`; errors name the
+    file line and the frame. ``NaN`` and ``[-]Infinity``, which JSON lacks, raise."""
+    constants = []  # NaN and [-]Infinity tokens met: json takes them, and only they call parse_constant
+    decode = json.JSONDecoder(parse_constant=lambda name: constants.append(name) or float(name)).decode
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(validate_record(json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(validate_record(decode(line)))
+                if constants:
+                    raise ValueError(f"frame {out[-1]['frame_id']}: {constants[0]} is not a finite number")
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out

@@ -220,7 +220,7 @@ class MotionConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.walk_speed) and self.walk_speed >= 0):
             raise ValueError(f"walk_speed must be finite and >= 0, got {self.walk_speed!r}")
-        require_count("seed", self.seed, 0)
+        self.seed = require_count("seed", self.seed, 0)
         _template_table(_lengths_key(self.bone_lengths))  # checks every bone length by name
 
 
@@ -233,20 +233,13 @@ def bone_lengths_of(joints: np.ndarray) -> np.ndarray:
 
 
 def swing_state_of(joints: np.ndarray) -> str:
-    """Which elbow, if any, is above its shoulder line."""
+    """Which elbow, if any, is above its shoulder line (the higher one if both are)."""
     joints = np.asarray(joints, dtype=float)
-    left_up = joints[JOINT_INDEX["elbow_left"], 2] > joints[JOINT_INDEX["shoulder_left"], 2]
-    right_up = joints[JOINT_INDEX["elbow_right"], 2] > joints[JOINT_INDEX["shoulder_right"], 2]
-    if left_up and right_up:
-        # pick the higher one; never happens for the built-in actions
-        dl = joints[JOINT_INDEX["elbow_left"], 2] - joints[JOINT_INDEX["shoulder_left"], 2]
-        dr = joints[JOINT_INDEX["elbow_right"], 2] - joints[JOINT_INDEX["shoulder_right"], 2]
-        return "left" if dl >= dr else "right"
-    if left_up:
-        return "left"
-    if right_up:
-        return "right"
-    return "none"
+    left, right = (joints[JOINT_INDEX[f"elbow_{side}"], 2] - joints[JOINT_INDEX[f"shoulder_{side}"], 2]
+                   for side in ("left", "right"))
+    if left <= 0 and right <= 0:
+        return "none"
+    return "left" if left >= right else "right"
 
 
 def _lengths_key(bone_lengths: dict | None) -> tuple:
@@ -371,8 +364,9 @@ def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
     )
 
 
-def joint_velocities(action: str, t: float, cfg: MotionConfig, h: float = 1e-3) -> np.ndarray:
+def joint_velocities(action: str, t: float, cfg: MotionConfig) -> np.ndarray:
     """(32, 3) world-frame joint velocities by central finite difference."""
+    h = 1e-3  # half the difference step [s]
     t0 = max(t, h)  # stay inside the motion's defined time range
     before = pose_at(action, t0 - h, cfg).joints
     after = pose_at(action, t0 + h, cfg).joints
@@ -426,6 +420,13 @@ def _noise_seed(seed: int, frame_id: int, radar_id: int) -> int:
     return (seed * 1_000_003 + frame_id) * 2 + radar_id
 
 
+#: :func:`generate_dataset`'s defaults: reflectors per bone, detector
+#: threshold [dB], and the receiver noise std of its default chirp.
+DATASET_DENSITY = 4
+DATASET_THRESHOLD_DB = 8.0
+DATASET_NOISE_STD = 0.3
+
+
 def generate_dataset(
     actions,
     cfg: MotionConfig,
@@ -434,8 +435,8 @@ def generate_dataset(
     out_path=None,
     n_frames: int | None = None,
     subjects=(0,),
-    density: int = 4,
-    threshold_db: float = 8.0,
+    density: int = DATASET_DENSITY,
+    threshold_db: float = DATASET_THRESHOLD_DB,
 ) -> list[dict]:
     """Render a full dataset: poses -> reflectors -> IF frames -> points.
 
@@ -458,7 +459,7 @@ def generate_dataset(
     if len(radar_poses) < 1:
         raise ValueError("need at least one radar pose")
     if chirp_cfg is None:
-        chirp_cfg = ChirpConfig(noise_std=0.3)
+        chirp_cfg = ChirpConfig(noise_std=DATASET_NOISE_STD)
 
     frames_per_seq = max(1, int(round(cfg.duration_s * cfg.fps)))
     combos = [(a, s) for a in actions for s in subjects]
@@ -484,9 +485,7 @@ def generate_dataset(
             t_ms = int(round(frame_id * frame_ms))
             for radar_id, radar_pose in enumerate(radar_poses):
                 reflectors = reflectors_from_skeleton(pose, density, radar_pose, vels)
-                raw = synthesize_frame(
-                    reflectors, chirp_cfg, seed=_noise_seed(cfg.seed, frame_id, radar_id), timestamp_ms=t_ms
-                )
+                raw = synthesize_frame(reflectors, chirp_cfg, seed=_noise_seed(cfg.seed, frame_id, radar_id))
                 records.append(
                     make_record(
                         frame_id=frame_id,

@@ -191,14 +191,14 @@ def test_acceptance_order_invariance():
         mp = init_params(cfg)
         mp.flat += 0.1 * rng.normal(size=mp.flat.size)
         inputs = variant_inputs(cfg, rng, batch=1)
-        ref = forward(cfg, mp, inputs)
+        ref = forward(mp, inputs)
         for _ in range(50):
             perm = rng.permutation(cfg.n_max)
             if variant == "single_pointnet":
                 shuffled = inputs[:, perm, :]
             else:
                 shuffled = (inputs[0][:, perm, :], inputs[1][:, perm, :])
-            worst = max(worst, float(np.max(np.abs(forward(cfg, mp, shuffled) - ref))))
+            worst = max(worst, float(np.max(np.abs(forward(mp, shuffled) - ref))))
 
     pts = np.array([[*rng.uniform(-1, 3, 3), rng.normal(), rng.uniform()] for _ in range(20)])
     ref_xy, ref_yz = build_views(pts, n_max=32)

@@ -307,6 +307,23 @@ def test_mse_matches_manual_sum():
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+    with no_tape(), pytest.raises(ValueError):
+        mse(np.zeros(3), np.zeros(4))
+
+
+def test_mse_examples_without_a_tape():
+    # the validation loss: arrays in, no tape, and the bits of np.mean((pred - gt) ** 2)
+    gt = np.array([0.1, 0.4, -0.2])
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(4, 12)), rng.normal(size=(4, 12))
+    with no_tape():
+        assert float(mse(gt, gt).data) == 0.0
+        assert float(mse(gt + 1.0, gt).data) == pytest.approx(1.0, rel=1e-12)
+        out = mse(a, b)
+    assert out._backward is None and out._parents == ()
+    assert float(out.data) == float(np.mean((a - b) ** 2))
+    oracle = sum((x - y) ** 2 for x, y in zip(a.ravel(), b.ravel())) / a.size
+    assert float(out.data) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_diamond_graph_accumulates():

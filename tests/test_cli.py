@@ -144,6 +144,29 @@ def test_preprocess_rejects_a_negative_window(small_pipeline, tmp_path, radar_fl
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("radars, message", [("0,0", "radar id 0 is repeated"), ("2", "radar id 2 has no pose")],
+                         ids=["0,0", "2"])
+def test_preprocess_rejects_a_repeated_or_poseless_radar(small_pipeline, tmp_path, radars, message):
+    _, raw, _, _ = small_pipeline
+    with pytest.raises(ValueError, match=message):
+        main(["preprocess", "--in", str(raw), "--out", str(tmp_path / "f.jsonl"), "--radars", radars])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preprocess_rejects_a_raw_point_that_is_not_finite(small_pipeline, tmp_path):
+    # it used to reach DBSCAN, which dropped it as noise
+    _, raw, _, _ = small_pipeline
+    lines = raw.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["points"][0][0] = float("nan")
+    bad = tmp_path / "raw_nan.jsonl"
+    bad.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+    out = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match=rf"raw_nan\.jsonl line 3: frame {rec['frame_id']}: NaN is not a finite number"):
+        main(["preprocess", "--in", str(bad), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_preprocess_rejects_reversed_snr_meta(small_pipeline, tmp_path):
     _, raw, _, _ = small_pipeline
     meta = tmp_path / "reversed.meta.json"
@@ -220,6 +243,22 @@ def test_ablate_rejects_a_bad_n_max_before_simulating(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=r"^n_max must be >= 2$"):
         main(["ablate", "--n-max", "1", "--workdir", str(tmp_path / "work"), "--out-csv", str(tmp_path / "a.csv")])
     assert list(tmp_path.rglob("*.jsonl")) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "0", r"^eps must be > 0$"),
+    ("--eps", "nan", r"^eps must be > 0$"),
+    ("--min-pts", "0", r"^min_pts must be >= 1$"),
+    ("--window-ms", "-5", r"^window_ms must be finite and >= 0, got -5"),
+], ids=["eps-0", "eps-nan", "min-pts-0", "window-ms--5"])
+def test_ablate_rejects_bad_fusion_settings_before_simulating(tmp_path, monkeypatch, flag, value, message):
+    def simulate_split(*args, **kwargs):
+        raise AssertionError("simulated before checking the fusion settings")
+
+    monkeypatch.setattr(harness, "simulate_split", simulate_split)
+    with pytest.raises(ValueError, match=message):
+        main(["ablate", f"{flag}={value}", "--workdir", str(tmp_path / "work"), "--out-csv", str(tmp_path / "a.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_cli_checkpoint_and_svg(small_pipeline):

@@ -153,7 +153,6 @@ def test_detect_single_reflector_recovers_parameters():
     assert abs(d.range_m - 2.0) <= CFG.range_resolution_m
     assert d.radial_velocity == pytest.approx(1.0, abs=1e-6)
     assert abs(math.degrees(d.azimuth_rad)) < 1.0
-    assert d.elevation_rad == 0.0
     assert d.snr_db > 12.0
 
 
@@ -196,20 +195,20 @@ def test_snr_monotone_in_reflector_amplitude():
 
 def test_detection_requires_positive_range_and_finite_snr():
     with pytest.raises(ValueError):
-        Detection(range_m=0.0, radial_velocity=0.0, azimuth_rad=0.0, elevation_rad=0.0, snr_db=3.0)
+        Detection(range_m=0.0, radial_velocity=0.0, azimuth_rad=0.0, snr_db=3.0)
     with pytest.raises(ValueError):
-        Detection(range_m=1.0, radial_velocity=0.0, azimuth_rad=0.0, elevation_rad=0.0, snr_db=math.inf)
+        Detection(range_m=1.0, radial_velocity=0.0, azimuth_rad=0.0, snr_db=math.inf)
 
 
 def test_detections_to_points_boresight():
-    det = Detection(range_m=2.0, radial_velocity=0.3, azimuth_rad=0.0, elevation_rad=0.0, snr_db=20.0)
+    det = Detection(range_m=2.0, radial_velocity=0.3, azimuth_rad=0.0, snr_db=20.0)
     (p,) = detections_to_points([det])
     np.testing.assert_allclose(p[:3], [0.0, 2.0, 0.0], atol=1e-12)
     assert p[3] == 0.3 and p[4] == 20.0
 
 
 def test_detections_to_points_hand_trigonometry():
-    det = Detection(range_m=2.0, radial_velocity=0.0, azimuth_rad=math.radians(30), elevation_rad=0.0, snr_db=0.0)
+    det = Detection(range_m=2.0, radial_velocity=0.0, azimuth_rad=math.radians(30), snr_db=0.0)
     (p,) = detections_to_points([det])
     np.testing.assert_allclose(p[:3], [1.0, math.sqrt(3.0), 0.0], atol=1e-9)
 
@@ -221,17 +220,15 @@ def test_detections_to_points_inverse_transform_oracle():
             range_m=float(rng.uniform(0.5, 8.0)),
             radial_velocity=float(rng.normal()),
             azimuth_rad=float(rng.uniform(-1.2, 1.2)),
-            elevation_rad=float(rng.uniform(-0.5, 0.5)),
             snr_db=float(rng.uniform(0, 40)),
         )
         (p,) = detections_to_points([det])
-        # independent spherical reconstruction
+        # independent polar reconstruction; the points lie in the boresight plane
         r = float(np.linalg.norm(p[:3]))
         az = math.atan2(p[0], p[1])
-        el = math.asin(p[2] / r)
         assert r == pytest.approx(det.range_m, abs=1e-9)
         assert az == pytest.approx(det.azimuth_rad, abs=1e-9)
-        assert el == pytest.approx(det.elevation_rad, abs=1e-9)
+        assert p[2] == 0.0 and math.copysign(1.0, p[2]) == 1.0
 
 
 def test_raw_frame_shape_checked():
@@ -295,7 +292,6 @@ def _detect_per_bin(frame, threshold_db):
                 range_m=range_from_beat(k * cfg.sample_rate_hz / cfg.n_samples, cfg.slope_hz_per_s),
                 radial_velocity=velocity_from_phase(dphi_v, cfg.chirp_time_s, lam),
                 azimuth_rad=math.asin(sin_az),
-                elevation_rad=0.0,
                 snr_db=min(10.0 * math.log10(power[k] / floor), SNR_CAP_DB),
             )
         )

@@ -5,7 +5,6 @@ import pytest
 
 from radarpose.harness import (
     AblationConfig,
-    JointSets,
     MetricsReport,
     VariantMetrics,
     arm_swing_score,
@@ -18,6 +17,7 @@ from radarpose.harness import (
     report_to_csv,
     run_ablation,
 )
+from radarpose.model import ModelConfig
 from radarpose.records import make_record
 from radarpose.scene import JOINT_INDEX, JOINT_NAMES, MotionConfig, pose_at
 
@@ -68,12 +68,12 @@ def test_evaluate_matches_flat_loop_oracle():
     rng = np.random.default_rng(3)
     gts = walk_gts(5)
     pred = as_pred(gts) + rng.normal(0, 0.05, size=(5, 32, 3))
-    js = JointSets()
-    row = evaluate(pred, gts, js)
+    included = ModelConfig().included_joints
+    row = evaluate(pred, gts, included)
 
     total, count = 0.0, 0
     for f in range(5):
-        for j in js.included:
+        for j in included:
             for ax in range(3):
                 total += abs(pred[f, JOINT_INDEX[j], ax] - gts[f].joints[JOINT_INDEX[j], ax]) * 100
                 count += 1
@@ -111,15 +111,16 @@ def test_arm_swing_rest_pose_predictor_scores_zero():
 
 
 def test_arm_swing_margin_rule():
+    # the swing-side elbow must sit SWING_MARGIN_CM (5 cm) above the other one
     gts = swing_gts(2)
-    pred = as_pred(gts).copy()
-    for i, g in enumerate(gts):
-        side = g.swing_state
-        other = "left" if side == "right" else "right"
-        lvl = pred[i, JOINT_INDEX[f"elbow_{other}"], 2]
-        pred[i, JOINT_INDEX[f"elbow_{side}"], 2] = lvl + 0.03  # 3 cm < 5 cm margin
-    assert arm_swing_score(pred, gts, margin_cm=5.0) == 0.0
-    assert arm_swing_score(pred, gts, margin_cm=2.0) == 100.0
+    for lift_m, score in ((0.03, 0.0), (0.049, 0.0), (0.051, 100.0), (0.07, 100.0)):
+        pred = as_pred(gts).copy()
+        for i, g in enumerate(gts):
+            side = g.swing_state
+            other = "left" if side == "right" else "right"
+            lvl = pred[i, JOINT_INDEX[f"elbow_{other}"], 2]
+            pred[i, JOINT_INDEX[f"elbow_{side}"], 2] = lvl + lift_m
+        assert arm_swing_score(pred, gts) == score, lift_m
 
 
 def test_mean_pose_baseline_is_mean():
@@ -151,9 +152,10 @@ def test_per_joint_csv(tmp_path):
     assert "pelvis,1.2500" in text
 
 
-def test_joint_sets_validated():
-    with pytest.raises(ValueError):
-        JointSets(arms=("elbow_left", "nonexistent"))
+def test_evaluate_rejects_an_unknown_included_joint():
+    gts = walk_gts(2)
+    with pytest.raises(ValueError, match="unknown joints: \\['nonexistent'\\]"):
+        evaluate(as_pred(gts), gts, included=("elbow_left", "nonexistent"))
 
 
 def test_frames_from_records_roundtrip():

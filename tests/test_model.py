@@ -27,7 +27,6 @@ from radarpose.model import (
     forward,
     init_params,
     load_checkpoint,
-    mse_loss,
     param_count,
     param_layout,
     predict_batch,
@@ -35,8 +34,9 @@ from radarpose.model import (
     tnet_forward,
     train,
 )
+from radarpose.physics import ChirpConfig
 from radarpose.pointcloud import FusedFrame
-from radarpose.scene import JOINT_NAMES, SkeletonFrame
+from radarpose.scene import JOINT_NAMES, MotionConfig, SkeletonFrame
 from test_autodiff import reference_conv2d, reference_maxpool2d
 
 
@@ -202,13 +202,13 @@ def test_zero_input_outputs_head_bias(variant):
         if variant == "single_pointnet"
         else (np.zeros((2, cfg.n_max, 4)), np.zeros((2, cfg.n_max, 4)))
     )
-    np.testing.assert_array_equal(forward(cfg, mp, inputs), [bias, bias])
+    np.testing.assert_array_equal(forward(mp, inputs), [bias, bias])
 
 
 def test_forward_output_width_is_66_by_default():
     cfg = ModelConfig(n_max=8)
     mp = init_params(cfg)
-    out = forward(cfg, mp, (np.zeros((1, 8, 4)), np.zeros((1, 8, 4))))
+    out = forward(mp, (np.zeros((1, 8, 4)), np.zeros((1, 8, 4))))
     assert out.shape == (1, 66)
 
 
@@ -219,53 +219,41 @@ def test_pooled_variants_are_order_invariant(variant):
     rng = np.random.default_rng(2)
     mp.flat += 0.1 * rng.normal(size=mp.flat.size)
     inputs = variant_inputs(cfg, rng, batch=1)
-    ref = forward(cfg, mp, inputs)
+    ref = forward(mp, inputs)
     for _ in range(10):
         perm = rng.permutation(cfg.n_max)
         if variant == "single_pointnet":
             shuffled = inputs[:, perm, :]
         else:
             shuffled = (inputs[0][:, perm, :], inputs[1][:, perm, :])
-        np.testing.assert_allclose(forward(cfg, mp, shuffled), ref, atol=1e-6)
+        np.testing.assert_allclose(forward(mp, shuffled), ref, atol=1e-6)
 
 
 def test_forward_rejects_wrong_shapes():
     cfg = toy_config("dual_cnn", seed=0)
     mp = init_params(cfg)
     with pytest.raises(ValueError, match=r"view_xy must be \(B, 8, 4\), got \(1, 4, 4\)"):
-        forward(cfg, mp, (np.zeros((1, 4, 4)), np.zeros((1, 4, 4))))  # wrong N
+        forward(mp, (np.zeros((1, 4, 4)), np.zeros((1, 4, 4))))  # wrong N
     with pytest.raises(ValueError, match=r"got \(8, 4\)"):  # one unbatched example
-        forward(cfg, mp, (np.zeros((8, 4)), np.zeros((8, 4))))
+        forward(mp, (np.zeros((8, 4)), np.zeros((8, 4))))
     cfg3 = toy_config("single_pointnet", seed=0)
     with pytest.raises(ValueError, match=r"got \(1, 8, 4\)"):
-        forward(cfg3, init_params(cfg3), np.zeros((1, 8, 4)))  # 4 features, not 3
+        forward(init_params(cfg3), np.zeros((1, 8, 4)))  # 4 features, not 3
     with pytest.raises(ValueError, match=r"got \(8, 3\)"):
-        forward(cfg3, init_params(cfg3), np.zeros((8, 3)))
+        forward(init_params(cfg3), np.zeros((8, 3)))
 
 
 # ---------------------------------------------------------------------------
 # loss / backward
 # ---------------------------------------------------------------------------
 
-def test_mse_loss_examples():
-    gt = np.array([0.1, 0.4, -0.2])
-    assert mse_loss(gt, gt) == 0.0
-    assert mse_loss(gt + 1.0, gt) == pytest.approx(1.0, rel=1e-12)
-    rng = np.random.default_rng(3)
-    a, b = rng.normal(size=12), rng.normal(size=12)
-    oracle = sum((x - y) ** 2 for x, y in zip(a, b)) / 12
-    assert mse_loss(a, b) == pytest.approx(oracle, rel=1e-12)
-    with pytest.raises(ValueError):
-        mse_loss(np.zeros(3), np.zeros(4))
-
-
 def test_backward_zero_at_perfect_prediction():
     cfg = toy_config("dual_mlp", seed=7)
     mp = init_params(cfg)
     rng = np.random.default_rng(4)
     inputs = variant_inputs(cfg, rng)
-    gt = forward(cfg, mp, inputs)  # exact target -> stationary point
-    loss, grads = backward(cfg, mp, inputs, gt)
+    gt = forward(mp, inputs)  # exact target -> stationary point
+    loss, grads = backward(mp, inputs, gt)
     assert loss == 0.0
     assert all(not g.any() for g in grads.values())
 
@@ -282,7 +270,7 @@ def test_a_training_step_leaves_no_reference_cycle(variant):
     gc.collect()
     gc.disable()
     try:
-        backward(cfg, mp, inputs, gt)
+        backward(mp, inputs, gt)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -295,7 +283,7 @@ def test_backward_frozen_branch_conv_weights_get_no_gradient():
     view_xy = rng.normal(size=(2, cfg.n_max, 4))
     view_yz = np.zeros((2, cfg.n_max, 4))
     gt = rng.uniform(size=(2, cfg.output_width))
-    _, grads = backward(cfg, mp, (view_xy, view_yz), gt)
+    _, grads = backward(mp, (view_xy, view_yz), gt)
     for i in range(len(cfg.conv_spec)):
         assert not grads[f"yz.conv{i}.w"].any()  # zero input, zero activations
         assert grads[f"xy.conv{i}.w"].any()
@@ -403,7 +391,7 @@ def test_compacted_forward_is_bitwise_the_padded_graph(variant, small):
     mp = _trained_like(cfg, seed=33)
     inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
     oracle = _padded_graph(cfg, model_module._wrap_params(mp.params), inputs).data
-    assert forward(cfg, mp, ex.inputs_for(cfg)).tobytes() == oracle.tobytes()
+    assert forward(mp, ex.inputs_for(cfg)).tobytes() == oracle.tobytes()
     expected = model_module._denormalize(cfg, oracle, mp.gt_min, mp.gt_max)
     assert predict_batch(mp, ex).tobytes() == expected.tobytes()
     for br in cfg.branches:
@@ -421,7 +409,7 @@ def test_compacted_gradients_match_the_padded_graph(variant):
     ex = _packed_examples(cfg.n_max, seed=35)
     mp = _trained_like(cfg, seed=36)
     gt = np.random.default_rng(37).uniform(size=(len(ex), cfg.output_width))
-    loss, grads = backward(cfg, mp, ex.inputs_for(cfg), gt)
+    loss, grads = backward(mp, ex.inputs_for(cfg), gt)
     pt = model_module._wrap_params(mp.params)
     inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
     ref = mse(_padded_graph(cfg, pt, inputs), gt)
@@ -488,6 +476,32 @@ def test_hyper_rejects_a_batch_or_epoch_count_that_is_no_integer(edit, message):
         Hyper(**edit)
 
 
+#: each config class's integer fields: (build the config around a value, read the field back, its name)
+INTEGER_FIELDS = {
+    "ChirpConfig.n_samples": (lambda v: ChirpConfig(n_samples=v(64)), lambda c: c.n_samples, "n_samples"),
+    "ChirpConfig.n_chirps": (lambda v: ChirpConfig(n_chirps=v(3)), lambda c: c.n_chirps, "n_chirps"),
+    "MotionConfig.seed": (lambda v: MotionConfig(seed=v(3)), lambda c: c.seed, "seed"),
+    "ModelConfig.n_max": (lambda v: ModelConfig(n_max=v(16)), lambda c: c.n_max, "n_max"),
+    "ModelConfig.seed": (lambda v: ModelConfig(seed=v(2)), lambda c: c.seed, "seed"),
+    "ModelConfig.row_mlp_spec": (
+        lambda v: ModelConfig(row_mlp_spec=(32, v(8))), lambda c: c.row_mlp_spec[1], r"row_mlp_spec\[1\]"),
+    "ModelConfig.conv_spec": (
+        lambda v: ModelConfig(conv_spec=((v(4), 3, 2),)), lambda c: c.conv_spec[0][0], r"conv_spec\[0\] channels"),
+    "Hyper.batch": (lambda v: Hyper(batch=v(8)), lambda c: c.batch, "batch"),
+    "Hyper.epochs": (lambda v: Hyper(epochs=v(2)), lambda c: c.epochs, "epochs"),
+    "Hyper.seed": (lambda v: Hyper(seed=v(1)), lambda c: c.seed, "seed"),
+}
+
+
+@pytest.mark.parametrize("make, read, name", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS)
+def test_integer_fields_store_a_numpy_integer_as_int_and_refuse_a_bool(make, read, name):
+    cfg = make(np.int64)
+    assert type(read(cfg)) is int
+    json.dumps(asdict(cfg))  # what save_checkpoint does with a ModelConfig
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got True$"):
+        make(lambda value: True)
+
+
 def test_train_rejects_empty_dataset():
     cfg = toy_config("dual_mlp", seed=0)
     ex = toy_examples(np.random.default_rng(0), cfg, n_frames=0)
@@ -514,7 +528,7 @@ def test_forward_rejects_a_nonfinite_input_row():
     ex = toy_examples(np.random.default_rng(15), cfg, n_frames=4)
     ex.view_yz[2, 5, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
-        forward(cfg, mp, ex.inputs_for(cfg))
+        forward(mp, ex.inputs_for(cfg))
     with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
         predict_batch(mp, ex)
     with pytest.raises(ValueError, match="non-finite input: example 0, view_yz row 5"):
@@ -568,9 +582,9 @@ def test_flat_adam_step_is_bitwise_the_per_array_update():
         mp = init_params(cfg)
         state = (np.zeros_like(mp.flat), np.zeros_like(mp.flat))
         for t in (1, 2, 3):
-            _, ref_grads = backward(cfg, ref, inputs, gt)
+            _, ref_grads = backward(ref, inputs, gt)
             _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
-            _, grads = backward(cfg, mp, inputs, gt)
+            _, grads = backward(mp, inputs, gt)
             _adam_step(mp.flat, [grads[k] for k in mp.params], state, 3e-3, t)
             assert mp.params.keys() == ref.params.keys()
             for k, p in ref.params.items():
@@ -678,7 +692,7 @@ def test_inference_returns_the_taped_graphs_bytes(variant):
     inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
     taped = model_module._forward_graph(cfg, pt, inputs)
     assert taped._backward is not None
-    assert forward(cfg, mp, ex.inputs_for(cfg)).tobytes() == taped.data.tobytes()
+    assert forward(mp, ex.inputs_for(cfg)).tobytes() == taped.data.tobytes()
     expected = model_module._denormalize(cfg, taped.data, mp.gt_min, mp.gt_max)
     assert predict_batch(mp, ex).tobytes() == expected.tobytes()
     for br in cfg.branches:

@@ -467,3 +467,37 @@ def test_fuse_records_increases_vertical_extent():
     only_b = z_extent(fuse_records([rec_a, rec_b], radar_ids=(1,), eps=0.3, min_pts=4))
     assert both >= only_a and both >= only_b
     assert both > min(only_a, only_b)
+
+
+@pytest.mark.parametrize(
+    "radar_ids, message",
+    [
+        ((0, 0), r"^radar id 0 is repeated in radar_ids \(0, 0\)$"),
+        ((1, 1), r"^radar id 1 is repeated"),
+        ((2,), r"^radar id 2 has no pose; the poses cover radar ids 0 to 1$"),
+        ((0, -1), r"^radar id -1 has no pose"),
+    ],
+    ids=["0,0", "1,1", "2", "0,-1"],
+)
+def test_fuse_records_rejects_a_repeated_or_poseless_radar_id(radar_ids, message):
+    # (0, 0) used to fuse radar 0 with itself, and -1 to take the last pose
+    rng = np.random.default_rng(24)
+    gt = [[0.0, 2.0, 1.0]] * 32
+    recs = [make_record(0, 0, rid, _blob_points([0, 2.2, 0], 10, rng), gt, "walk_toward", 0, "none")
+            for rid in (0, 1)]
+    with pytest.raises(ValueError, match=message):
+        fuse_records(recs, radar_ids=radar_ids, eps=0.3, min_pts=4)
+
+
+@pytest.mark.parametrize(
+    "eps, min_pts, message",
+    [(0.0, 3, "^eps must be > 0$"), (math.nan, 3, "^eps must be > 0$"), (0.4, 0, "^min_pts must be >= 1$")],
+    ids=["eps-0", "eps-nan", "min_pts-0"],
+)
+def test_fuse_records_checks_dbscan_settings_with_no_points(eps, min_pts, message):
+    # an empty frame never reaches dbscan, so the settings are checked up front
+    rec = make_record(0, 0, 0, [], [[0.0, 2.0, 1.0]] * 32, "walk_toward", 0, "none")
+    with pytest.raises(ValueError, match=message):
+        fuse_records([rec], radar_ids=(0,), eps=eps, min_pts=min_pts)
+    with pytest.raises(ValueError, match=message):
+        dbscan(np.zeros((3, 3)), eps=eps, min_pts=min_pts)

@@ -1,3 +1,7 @@
+import json
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,3 +36,56 @@ def test_jsonl_round_trip_is_exact_and_rewrites_the_same_bytes(tmp_path_factory,
     assert back == records
     write_jsonl(d / "b.jsonl", back)
     assert (d / "b.jsonl").read_bytes() == (d / "a.jsonl").read_bytes()
+
+
+def _record(frame_id, points=((0.1, 2.0, 0.5, -0.2, 9.0),)):
+    return make_record(frame_id, 50 * frame_id, 0, list(points), [[0.0, 2.0, 1.0]] * 32, "walk_toward", 0, "none")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_rejects_a_non_finite_token_naming_line_and_frame(tmp_path, token):
+    path = tmp_path / "raw.jsonl"
+    write_jsonl(path, [_record(4), _record(5)])
+    lines = path.read_text().splitlines()
+    assert "2.0, 0.5" in lines[1]
+    lines[1] = lines[1].replace("2.0, 0.5", f"2.0, {token}", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"raw\.jsonl line 2: frame 5: {token} is not a finite number$"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rec: rec["gt"].pop(), r"frame 7: gt is not 32 finite \[x, y, z\] rows \(got 31 rows\)"),
+        (lambda rec: rec["gt"][3].append(0.0), r"frame 7: gt is not 32 finite .* \(got rows that are not 3 values"),
+        (lambda rec: rec.update(gt=5), r"frame 7: gt is not 32 finite .* \(got rows that are not 3 values"),
+        (lambda rec: rec["points"][0].pop(), r"frame 7: points are not \[x, y, z, v, snr\] rows$"),
+        (lambda rec: rec.pop("action"), r"record missing key 'action'"),
+    ],
+    ids=["31-joints", "4-value-joint", "number-gt", "4-value-point", "no-action"],
+)
+def test_read_names_line_and_frame_of_a_malformed_record(tmp_path, edit, message):
+    rec = _record(7)
+    edit(rec)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n" + json.dumps(_record(6)) + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl line 3: {message}"):
+        read_jsonl(path)
+
+
+def test_read_names_the_line_of_text_that_is_not_a_json_object(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_record(1)) + "\n{not json\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl line 2: Expecting property name"):
+        read_jsonl(path)
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl line 1: record is a list, not an object"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_rejects_a_non_finite_value_naming_the_frame(tmp_path, value):
+    rec = _record(9, [(0.1, 2.0, 0.5, value, 9.0)])
+    with pytest.raises(ValueError, match=r"out\.jsonl: frame 9: Out of range float values are not JSON compliant"):
+        write_jsonl(tmp_path / "out.jsonl", [_record(8), rec])
