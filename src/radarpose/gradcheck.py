@@ -170,21 +170,17 @@ def toy_config(variant: str, seed: int) -> ModelConfig:
     )
 
 
-def variant_inputs(cfg: ModelConfig, rng, batch: int = 3):
-    """Random inputs, zero-padded like packed frames: example i keeps
-    ``(n_max, n_max // 2, 0)[i % 3]`` rows, so a batch of 3 holds a full, a
-    partly padded and an all-padding example."""
+def variant_inputs(cfg: ModelConfig, rng, batch: int = 3) -> dict:
+    """Random inputs for each branch, zero-padded like packed frames: example i
+    keeps ``(n_max, n_max // 2, 0)[i % 3]`` rows, so a batch of 3 holds a full,
+    a partly padded and an all-padding example."""
     valid = np.array([(cfg.n_max, cfg.n_max // 2, 0)[i % 3] for i in range(batch)])
     padding = np.arange(cfg.n_max) >= valid[:, None]
-
-    def draw(width):
-        x = rng.normal(size=(batch, cfg.n_max, width))
-        x[padding] = 0.0
-        return x
-
-    if cfg.variant == "single_pointnet":
-        return draw(3)
-    return (draw(4), draw(4))
+    inputs = {}
+    for br in cfg.branches:
+        inputs[br] = rng.normal(size=(batch, cfg.n_max, cfg.tnet_dim))
+        inputs[br][padding] = 0.0
+    return inputs
 
 
 def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, h=DEFAULT_H) -> CheckResult:

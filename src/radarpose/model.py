@@ -90,12 +90,9 @@ class ModelConfig:
             if stage[1] % 2 == 0:
                 raise ValueError(f"conv_spec[{i}] kernel must be odd, got {stage[1]}")
         store("conv_spec", tuple(stages))
-        if self.variant == "dual_cnn":
-            h, w = self.n_max, 4
-            for channels, kernel, pool in self.conv_spec:
-                h, w = h // pool, w // pool
-                if h < 1 or w < 1:
-                    raise ValueError("conv/pool stack shrinks the view below 1x1")
+        # floor division never brings a 0 back, so a stage that reaches 0 leaves a 0 product
+        if self.variant == "dual_cnn" and _conv_flat_size(self) == 0:
+            raise ValueError("conv/pool stack shrinks the view below 1x1")
 
     @property
     def included_joints(self) -> tuple:
@@ -115,7 +112,12 @@ class ModelConfig:
 
     @property
     def branches(self) -> tuple:
+        """The input branches, each a (B, n_max, tnet_dim) array of rows."""
         return ("cloud",) if self.variant == "single_pointnet" else ("xy", "yz")
+
+    @property
+    def head_spec(self) -> tuple:
+        return self.pointnet_head_spec if self.variant == "single_pointnet" else self.mlp_head_spec
 
 
 @dataclass
@@ -171,6 +173,13 @@ def _tnet_layout(cfg: ModelConfig, layout: dict, prefix: str):
     layout[f"{prefix}.out.b"] = ((dim * dim,), "identity")
 
 
+def _row_layers(cfg: ModelConfig, br: str) -> list:
+    """(name, width) of each layer of branch ``br``'s shared row MLP; dual_cnn has a conv stack instead."""
+    stem, spec = {"dual_cnn": ("", ()), "dual_mlp": ("row", cfg.row_mlp_spec),
+                  "single_pointnet": ("mlp", cfg.pointnet_mlp_spec)}[cfg.variant]
+    return [(f"{br}.{stem}{i}", w) for i, w in enumerate(spec)]
+
+
 def param_layout(cfg: ModelConfig) -> dict:
     """Name -> (shape, init) of every parameter, in the order they are drawn.
 
@@ -178,34 +187,24 @@ def param_layout(cfg: ModelConfig) -> dict:
     ``"zeros"`` or ``"identity"`` (a flattened identity matrix).
     """
     layout: dict = {}
-    if cfg.variant == "dual_cnn":
-        for br in cfg.branches:
-            _tnet_layout(cfg, layout, f"{br}.tnet")
+    feat = 0
+    for br in cfg.branches:
+        _tnet_layout(cfg, layout, f"{br}.tnet")
+        if cfg.variant == "dual_cnn":
             c_in = 1
             for i, (channels, kernel, _pool) in enumerate(cfg.conv_spec):
                 layout[f"{br}.conv{i}.w"] = ((channels, c_in, kernel, kernel), c_in * kernel * kernel)
                 layout[f"{br}.conv{i}.b"] = ((channels,), "zeros")
                 c_in = channels
-        feat = 2 * _conv_flat_size(cfg)
-    elif cfg.variant == "dual_mlp":
-        for br in cfg.branches:
-            _tnet_layout(cfg, layout, f"{br}.tnet")
-            width = 4
-            for i, w in enumerate(cfg.row_mlp_spec):
-                _dense_layout(layout, f"{br}.row{i}", width, w)
+            feat += _conv_flat_size(cfg)
+        else:
+            width = cfg.tnet_dim
+            for name, w in _row_layers(cfg, br):
+                _dense_layout(layout, name, width, w)
                 width = w
-        feat = 2 * cfg.row_mlp_spec[-1]
-    else:
-        _tnet_layout(cfg, layout, "cloud.tnet")
-        width = 3
-        for i, w in enumerate(cfg.pointnet_mlp_spec):
-            _dense_layout(layout, f"cloud.mlp{i}", width, w)
-            width = w
-        feat = cfg.pointnet_mlp_spec[-1]
-
-    head_spec = cfg.pointnet_head_spec if cfg.variant == "single_pointnet" else cfg.mlp_head_spec
+            feat += width
     width = feat
-    for i, w in enumerate(head_spec):
+    for i, w in enumerate(cfg.head_spec):
         _dense_layout(layout, f"head.fc{i}", width, w)
         width = w
     _dense_layout(layout, "head.out", width, cfg.output_width)
@@ -272,37 +271,28 @@ def _tnet_graph(view: Tensor, rows: np.ndarray, starts: np.ndarray, pt: dict, cf
     return view @ transform, transform
 
 
-def _pooled_rows(view: Tensor, pt: dict, cfg: ModelConfig, br: str, layers: list) -> Tensor:
-    """TNet, the shared row MLP ``layers`` on the kept rows, then each example's max: (B, C)."""
+def _branch_graph(view: Tensor, pt: dict, cfg: ModelConfig, br: str) -> Tensor:
+    """One branch's features (B, C): the TNet, then the conv stack on the view as
+    an image (dual_cnn), or the shared row MLP on the kept rows and each example's max."""
     rows, starts = _kept_rows(view.data)
     h, _ = _tnet_graph(view, rows, starts, pt, cfg, f"{br}.tnet")
+    if cfg.variant == "dual_cnn":
+        batch = view.shape[0]
+        img = h.reshape((batch, 1, cfg.n_max, 4))
+        for i, (_channels, _kernel, pool) in enumerate(cfg.conv_spec):
+            img = conv2d(img, pt[f"{br}.conv{i}.w"], pt[f"{br}.conv{i}.b"]).relu()
+            img = maxpool2d(img, pool)
+        return img.reshape((batch, _conv_flat_size(cfg)))
     h = gather_rows(h, rows)
-    for name in layers:
+    for name, _width in _row_layers(cfg, br):
         h = dense(h, pt[f"{name}.w"], pt[f"{name}.b"], relu=True)
     return amax(h, starts)
 
 
-def _branch_graph(view: Tensor, pt: dict, cfg: ModelConfig, br: str) -> Tensor:
-    if cfg.variant == "dual_mlp":
-        return _pooled_rows(view, pt, cfg, br, [f"{br}.row{i}" for i in range(len(cfg.row_mlp_spec))])
-    batch = view.shape[0]
-    h, _ = _tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{br}.tnet")
-    img = h.reshape((batch, 1, cfg.n_max, 4))
-    for i, (_channels, _kernel, pool) in enumerate(cfg.conv_spec):
-        img = conv2d(img, pt[f"{br}.conv{i}.w"], pt[f"{br}.conv{i}.b"]).relu()
-        img = maxpool2d(img, pool)
-    return img.reshape((batch, _conv_flat_size(cfg)))
-
-
 def _forward_graph(cfg: ModelConfig, pt: dict, inputs: dict) -> Tensor:
-    if cfg.variant == "single_pointnet":
-        layers = [f"cloud.mlp{i}" for i in range(len(cfg.pointnet_mlp_spec))]
-        h = _pooled_rows(inputs["cloud"], pt, cfg, "cloud", layers)
-        head_spec = cfg.pointnet_head_spec
-    else:
-        h = concat([_branch_graph(inputs[br], pt, cfg, br) for br in cfg.branches], axis=1)
-        head_spec = cfg.mlp_head_spec
-    for i in range(len(head_spec)):
+    feats = [_branch_graph(inputs[br], pt, cfg, br) for br in cfg.branches]
+    h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
+    for i in range(len(cfg.head_spec)):
         h = dense(h, pt[f"head.fc{i}.w"], pt[f"head.fc{i}.b"], relu=True)
     return dense(h, pt["head.out.w"], pt["head.out.b"], relu=False)
 
@@ -311,18 +301,18 @@ def _wrap_params(params: dict) -> dict:
     return {k: Tensor(v) for k, v in params.items()}
 
 
-def _prepare_inputs(cfg: ModelConfig, inputs) -> dict:
+def _prepare_inputs(cfg: ModelConfig, inputs: Mapping) -> dict:
     """Check a packed batch (:meth:`ExampleSet.inputs_for`) and wrap it as the graph's inputs."""
-    if cfg.variant == "single_pointnet":
-        cloud = np.asarray(inputs, dtype=float)
-        if cloud.shape[1:] != (cfg.n_max, 3):
-            raise ValueError(f"single_pointnet expects (B, {cfg.n_max}, 3) clouds, got {cloud.shape}")
-        return {"cloud": Tensor(cloud)}
-    vxy, vyz = (np.asarray(v, dtype=float) for v in inputs)
-    for name, v in (("view_xy", vxy), ("view_yz", vyz)):
-        if v.shape[1:] != (cfg.n_max, 4):
-            raise ValueError(f"{name} must be (B, {cfg.n_max}, 4), got {v.shape}")
-    return {"xy": Tensor(vxy), "yz": Tensor(vyz)}
+    if not isinstance(inputs, Mapping) or set(inputs) != set(cfg.branches):
+        got = tuple(inputs) if isinstance(inputs, Mapping) else f"a {type(inputs).__name__}"
+        raise ValueError(f"{cfg.variant} takes a mapping of the branches {cfg.branches} to rows, got {got}")
+    tensors = {}
+    for br in cfg.branches:
+        rows = np.asarray(inputs[br], dtype=float)
+        if rows.shape[1:] != (cfg.n_max, cfg.tnet_dim):
+            raise ValueError(f"{br} must be (B, {cfg.n_max}, {cfg.tnet_dim}), got {rows.shape}")
+        tensors[br] = Tensor(rows)
+    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +336,27 @@ def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = Non
     return out.data, transform.data
 
 
-def forward(params: ModelParams, inputs) -> np.ndarray:
+def forward(params: ModelParams, inputs: Mapping) -> np.ndarray:
     """Predict (B, 3J) normalized joint coordinates of a packed batch.
 
     The network is ``params.config``'s. ``inputs`` is
-    :meth:`ExampleSet.inputs_for`'s form: a ``(view_xy, view_yz)`` pair of
-    (B, n_max, 4) arrays, or a (B, n_max, 3) cloud for ``single_pointnet``;
-    any other shape raises ``ValueError``. So does an input row that holds a
-    NaN or inf, named by example and row: the ReLUs would otherwise map it to
-    a finite prediction.
+    :meth:`ExampleSet.inputs_for`'s form: a mapping of each of the config's
+    ``branches`` to its (B, n_max, tnet_dim) rows; a missing or extra branch
+    or any other shape raises ``ValueError``. So does an input row that holds
+    a NaN or inf, named by example, branch and row: the ReLUs would otherwise
+    map it to a finite prediction.
     """
     cfg = params.config
     tensors = _prepare_inputs(cfg, inputs)
-    for key, t in tensors.items():
+    for br, t in tensors.items():
         bad = np.argwhere(~np.isfinite(t.data).all(axis=-1))
         if len(bad):
-            name = key if key == "cloud" else f"view_{key}"
-            raise ValueError(f"non-finite input: example {bad[0][0]}, {name} row {bad[0][1]}")
+            raise ValueError(f"non-finite input: example {bad[0][0]}, {br} row {bad[0][1]}")
     with no_tape():
         return _forward_graph(cfg, _wrap_params(params.params), tensors).data
 
 
-def backward(params: ModelParams, inputs, gt: np.ndarray):
+def backward(params: ModelParams, inputs: Mapping, gt: np.ndarray):
     """Loss and exact gradients of the MSE w.r.t. every parameter.
 
     ``inputs`` is a packed batch as for :func:`forward`; ``gt`` lives in the
@@ -415,27 +404,27 @@ class Hyper:
 class ExampleSet:
     """Model-ready arrays for a list of fused frames (SNR already scaled).
 
-    Row ``i`` of every array is frame ``frame_ids[i]``, packed by
-    :func:`build_views` and :func:`build_cloud`; the motion labels stay on
-    the frames' ground truth.
+    Row ``i`` of every array is frame ``frame_ids[i]``; the views are packed
+    by :func:`build_views`, and the motion labels stay on the frames' ground
+    truth.
     """
 
     view_xy: np.ndarray  # (F, n_max, 4)
     view_yz: np.ndarray  # (F, n_max, 4)
-    cloud: np.ndarray  # (F, n_max, 3)
     gt: np.ndarray  # (F, 32, 3) world metres
     frame_ids: list
 
     def __len__(self):
         return len(self.gt)
 
-    def inputs_for(self, cfg: ModelConfig, idx=None):
-        """The model input of frames ``idx`` (all when None): the
-        ``(view_xy, view_yz)`` pair, or the cloud for ``single_pointnet``."""
+    def inputs_for(self, cfg: ModelConfig, idx=None) -> dict:
+        """The model input of frames ``idx`` (all when None): each of
+        ``cfg.branches`` mapped to its rows, the views themselves or the xyz
+        cloud :func:`build_cloud` reads from them."""
         sel = slice(None) if idx is None else idx
-        if cfg.variant == "single_pointnet":
-            return self.cloud[sel]
-        return (self.view_xy[sel], self.view_yz[sel])
+        xy, yz = self.view_xy[sel], self.view_yz[sel]
+        rows = {"xy": lambda: xy, "yz": lambda: yz, "cloud": lambda: build_cloud(xy, yz)}
+        return {br: rows[br]() for br in cfg.branches}
 
 
 def examples_from_frames(frames: list[FusedFrame], n_max: int) -> ExampleSet:
@@ -444,13 +433,11 @@ def examples_from_frames(frames: list[FusedFrame], n_max: int) -> ExampleSet:
     ex = ExampleSet(
         view_xy=np.zeros((n, n_max, 4)),
         view_yz=np.zeros((n, n_max, 4)),
-        cloud=np.zeros((n, n_max, 3)),
         gt=np.zeros((n, N_JOINTS, 3)),
         frame_ids=[fr.frame_id for fr in frames],
     )
     for i, fr in enumerate(frames):
         ex.view_xy[i], ex.view_yz[i] = build_views(fr.points, n_max)
-        ex.cloud[i] = build_cloud(fr.points, n_max)
         ex.gt[i] = fr.gt.joints
     return ex
 

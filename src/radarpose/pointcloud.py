@@ -238,16 +238,22 @@ def build_views(points: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]
     return view_xy, view_yz
 
 
-def build_cloud(points: np.ndarray, n_max: int) -> np.ndarray:
-    """(n_max, 3) zero-padded world xyz cloud of (N, 5) points, in the views' order."""
-    arr = points[canonical_order(points)][:n_max]
-    cloud = np.zeros((n_max, 3))
-    cloud[: len(arr)] = arr[:, :3]
-    return cloud
+def build_cloud(view_xy: np.ndarray, view_yz: np.ndarray) -> np.ndarray:
+    """The world xyz cloud of packed views, shaped ``(..., n_max, 3)``.
+
+    x and y come from ``view_xy``, z from ``view_yz[..., 1]``: a pure copy, so
+    it is bitwise the canonically sorted, truncated, zero-padded xyz that
+    :func:`build_views` packed.
+    """
+    return np.concatenate([view_xy[..., :2], view_yz[..., 1:2]], axis=-1)
 
 
 def _transform_record_points(rec: dict, pose: RadarPose) -> np.ndarray:
     pts = np.asarray(rec["points"], dtype=float).reshape(-1, 5)
+    bad = np.argwhere(~np.isfinite(pts))
+    if len(bad):  # e.g. an overflowing literal such as 1e999, which json reads as inf
+        row, col = bad[0]
+        raise ValueError(f"frame {rec['frame_id']}, radar {rec['radar_id']}: point {row} holds {pts[row, col]}")
     pts[:, :3] = transform_to_world(pts[:, :3], pose)
     return pts
 
@@ -271,7 +277,8 @@ def fuse_records(
     clustering; with one, each frame is transformed and denoised alone.
     A negative or non-finite ``window_ms``, a bad ``eps`` or ``min_pts``, a
     repeated radar id and an id with no pose in ``poses`` raise in both
-    modes, before any record is read.
+    modes, before any record is read; a point value that is not finite
+    raises, naming the frame and the radar.
     """
     check_window_ms(window_ms)
     check_dbscan_args(eps, min_pts)

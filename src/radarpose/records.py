@@ -81,16 +81,18 @@ def validate_record(rec) -> dict:
 
 
 def write_jsonl(path, records) -> None:
-    """Write records as UTF-8 JSON Lines with LF endings; a NaN or inf raises, naming the frame."""
+    """Write records as UTF-8 JSON Lines with LF endings. A NaN or inf raises,
+    naming the frame, before the file is opened, so no partial file is left."""
     path = Path(path)
     encoder = json.JSONEncoder(allow_nan=False)  # json.dumps' settings otherwise
+    lines = []
+    for rec in records:
+        try:
+            lines.append(encoder.encode(rec) + "\n")
+        except ValueError as exc:
+            raise ValueError(f"{path}: frame {rec.get('frame_id')}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            try:
-                line = encoder.encode(rec)
-            except ValueError as exc:
-                raise ValueError(f"{path}: frame {rec.get('frame_id')}: {exc}") from None
-            fh.write(line + "\n")
+        fh.writelines(lines)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -194,10 +194,7 @@ def test_acceptance_order_invariance():
         ref = forward(mp, inputs)
         for _ in range(50):
             perm = rng.permutation(cfg.n_max)
-            if variant == "single_pointnet":
-                shuffled = inputs[:, perm, :]
-            else:
-                shuffled = (inputs[0][:, perm, :], inputs[1][:, perm, :])
+            shuffled = {br: rows[:, perm, :] for br, rows in inputs.items()}
             worst = max(worst, float(np.max(np.abs(forward(mp, shuffled) - ref))))
 
     pts = np.array([[*rng.uniform(-1, 3, 3), rng.normal(), rng.uniform()] for _ in range(20)])

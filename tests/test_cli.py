@@ -167,6 +167,23 @@ def test_preprocess_rejects_a_raw_point_that_is_not_finite(small_pipeline, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radar_flags", [["--radars", "0"], []], ids=["one-radar", "two-radar"])
+def test_preprocess_rejects_an_overflowing_raw_point(small_pipeline, tmp_path, radar_flags):
+    # json reads 1e999 as inf, which used to reach DBSCAN and be dropped as noise
+    _, raw, _, _ = small_pipeline
+    lines = raw.read_text().splitlines()
+    rec = json.loads(lines[0])
+    assert rec["radar_id"] == 0 and rec["points"]
+    lines[0] = lines[0].replace(repr(rec["points"][0][0]), "1e999", 1)
+    assert json.loads(lines[0])["points"][0][0] == float("inf")
+    bad = tmp_path / "raw_inf.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match=rf"^frame {rec['frame_id']}, radar 0: point 0 holds inf$"):
+        main(["preprocess", "--in", str(bad), "--out", str(out), *radar_flags])
+    assert not out.exists()
+
+
 def test_preprocess_rejects_reversed_snr_meta(small_pipeline, tmp_path):
     _, raw, _, _ = small_pipeline
     meta = tmp_path / "reversed.meta.json"

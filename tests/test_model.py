@@ -45,7 +45,6 @@ def toy_examples(rng, cfg, n_frames=10):
     return ExampleSet(
         view_xy=rng.normal(size=(n_frames, cfg.n_max, 4)),
         view_yz=rng.normal(size=(n_frames, cfg.n_max, 4)),
-        cloud=rng.normal(size=(n_frames, cfg.n_max, 3)),
         gt=gt,
         frame_ids=list(range(n_frames)),
     )
@@ -54,7 +53,7 @@ def toy_examples(rng, cfg, n_frames=10):
 def one_frame(ex, i):
     """Frame ``i`` of ``ex`` as a one-frame ExampleSet."""
     sel = slice(i, i + 1)
-    return ExampleSet(ex.view_xy[sel], ex.view_yz[sel], ex.cloud[sel], ex.gt[sel], ex.frame_ids[sel])
+    return ExampleSet(ex.view_xy[sel], ex.view_yz[sel], ex.gt[sel], ex.frame_ids[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +79,23 @@ def test_config_output_cap_and_validation():
         ModelConfig(excluded_joints=tuple(JOINT_NAMES))
     with pytest.raises(ValueError):
         ModelConfig(conv_spec=((8, 4, 2),))  # even kernel
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^conv/pool stack shrinks the view below 1x1$"):
         ModelConfig(conv_spec=((8, 3, 2), (8, 3, 2), (8, 3, 2)))  # view shrinks to 0
+
+
+@pytest.mark.parametrize("conv_spec, n_max, shrinks", [
+    (((8, 3, 8),), 64, True),  # the 4-wide view reaches 0 at once
+    (((8, 3, 4),), 64, False),  # 16 x 1
+    (((8, 3, 2), (8, 3, 32)), 64, True),  # 32 x 2, then 1 x 0
+    (((8, 3, 3),), 2, True),  # the height reaches 0 first
+])
+def test_config_refuses_a_conv_stack_that_shrinks_the_view_to_nothing(conv_spec, n_max, shrinks):
+    if shrinks:
+        with pytest.raises(ValueError, match="^conv/pool stack shrinks the view below 1x1$"):
+            ModelConfig(conv_spec=conv_spec, n_max=n_max)
+        ModelConfig(variant="dual_mlp", conv_spec=conv_spec, n_max=n_max)  # only dual_cnn runs the stack
+    else:
+        assert model_module._conv_flat_size(ModelConfig(conv_spec=conv_spec, n_max=n_max)) == 8 * 16
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -197,18 +211,14 @@ def test_zero_input_outputs_head_bias(variant):
     mp = init_params(cfg)
     bias = np.arange(cfg.output_width, dtype=float) * 0.1 - 0.2
     mp.params["head.out.b"][...] = bias
-    inputs = (
-        np.zeros((2, cfg.n_max, 3))
-        if variant == "single_pointnet"
-        else (np.zeros((2, cfg.n_max, 4)), np.zeros((2, cfg.n_max, 4)))
-    )
+    inputs = {br: np.zeros((2, cfg.n_max, cfg.tnet_dim)) for br in cfg.branches}
     np.testing.assert_array_equal(forward(mp, inputs), [bias, bias])
 
 
 def test_forward_output_width_is_66_by_default():
     cfg = ModelConfig(n_max=8)
     mp = init_params(cfg)
-    out = forward(mp, (np.zeros((1, 8, 4)), np.zeros((1, 8, 4))))
+    out = forward(mp, {"xy": np.zeros((1, 8, 4)), "yz": np.zeros((1, 8, 4))})
     assert out.shape == (1, 66)
 
 
@@ -222,25 +232,41 @@ def test_pooled_variants_are_order_invariant(variant):
     ref = forward(mp, inputs)
     for _ in range(10):
         perm = rng.permutation(cfg.n_max)
-        if variant == "single_pointnet":
-            shuffled = inputs[:, perm, :]
-        else:
-            shuffled = (inputs[0][:, perm, :], inputs[1][:, perm, :])
+        shuffled = {br: rows[:, perm, :] for br, rows in inputs.items()}
         np.testing.assert_allclose(forward(mp, shuffled), ref, atol=1e-6)
 
 
 def test_forward_rejects_wrong_shapes():
     cfg = toy_config("dual_cnn", seed=0)
     mp = init_params(cfg)
-    with pytest.raises(ValueError, match=r"view_xy must be \(B, 8, 4\), got \(1, 4, 4\)"):
-        forward(mp, (np.zeros((1, 4, 4)), np.zeros((1, 4, 4))))  # wrong N
+    with pytest.raises(ValueError, match=r"xy must be \(B, 8, 4\), got \(1, 4, 4\)"):
+        forward(mp, {"xy": np.zeros((1, 4, 4)), "yz": np.zeros((1, 4, 4))})  # wrong N
     with pytest.raises(ValueError, match=r"got \(8, 4\)"):  # one unbatched example
-        forward(mp, (np.zeros((8, 4)), np.zeros((8, 4))))
+        forward(mp, {"xy": np.zeros((8, 4)), "yz": np.zeros((8, 4))})
+    with pytest.raises(ValueError, match=r"branches \('xy', 'yz'\) to rows, got a tuple$"):
+        forward(mp, (np.zeros((1, 8, 4)), np.zeros((1, 8, 4))))  # the pair is not the input form
     cfg3 = toy_config("single_pointnet", seed=0)
     with pytest.raises(ValueError, match=r"got \(1, 8, 4\)"):
-        forward(init_params(cfg3), np.zeros((1, 8, 4)))  # 4 features, not 3
+        forward(init_params(cfg3), {"cloud": np.zeros((1, 8, 4))})  # 4 features, not 3
     with pytest.raises(ValueError, match=r"got \(8, 3\)"):
-        forward(init_params(cfg3), np.zeros((8, 3)))
+        forward(init_params(cfg3), {"cloud": np.zeros((8, 3))})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("edit", ["missing", "extra"])
+def test_forward_and_backward_reject_a_missing_or_extra_branch(variant, edit):
+    cfg = toy_config(variant, seed=0)
+    mp = init_params(cfg)
+    inputs = variant_inputs(cfg, np.random.default_rng(0))
+    if edit == "missing":
+        inputs.pop(cfg.branches[-1])
+    else:
+        inputs["zx"] = inputs[cfg.branches[0]]
+    message = rf"^{variant} takes a mapping of the branches \({', '.join(map(repr, cfg.branches))},?\) to rows, got \(.*\)$"
+    for call in (lambda: forward(mp, inputs), lambda: backward(mp, inputs, np.zeros((3, cfg.output_width)))):
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert ("'zx'" in str(err.value)) == (edit == "extra")
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +306,9 @@ def test_backward_frozen_branch_conv_weights_get_no_gradient():
     cfg = toy_config("dual_cnn", seed=8)
     mp = init_params(cfg)
     rng = np.random.default_rng(5)
-    view_xy = rng.normal(size=(2, cfg.n_max, 4))
-    view_yz = np.zeros((2, cfg.n_max, 4))
+    inputs = {"xy": rng.normal(size=(2, cfg.n_max, 4)), "yz": np.zeros((2, cfg.n_max, 4))}
     gt = rng.uniform(size=(2, cfg.output_width))
-    _, grads = backward(mp, (view_xy, view_yz), gt)
+    _, grads = backward(mp, inputs, gt)
     for i in range(len(cfg.conv_spec)):
         assert not grads[f"yz.conv{i}.w"].any()  # zero input, zero activations
         assert grads[f"xy.conv{i}.w"].any()
@@ -386,7 +411,7 @@ def test_kept_rows_are_the_points_and_the_first_zero_row():
 def test_compacted_forward_is_bitwise_the_padded_graph(variant, small):
     cfg = toy_config(variant, seed=31) if small else ModelConfig(variant=variant, seed=31)
     ex = _packed_examples(cfg.n_max, seed=32)
-    valid = (ex.cloud != 0).any(axis=-1).sum(axis=1)
+    valid = (ex.view_xy != 0).any(axis=-1).sum(axis=1)
     assert valid.min() == 0 and valid.max() == cfg.n_max and ((valid > 0) & (valid < cfg.n_max)).any()
     mp = _trained_like(cfg, seed=33)
     inputs = model_module._prepare_inputs(cfg, ex.inputs_for(cfg))
@@ -527,11 +552,11 @@ def test_forward_rejects_a_nonfinite_input_row():
     mp.gt_min, mp.gt_max = np.zeros(3), np.ones(3)
     ex = toy_examples(np.random.default_rng(15), cfg, n_frames=4)
     ex.view_yz[2, 5, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
+    with pytest.raises(ValueError, match="non-finite input: example 2, yz row 5"):
         forward(mp, ex.inputs_for(cfg))
-    with pytest.raises(ValueError, match="non-finite input: example 2, view_yz row 5"):
+    with pytest.raises(ValueError, match="non-finite input: example 2, yz row 5"):
         predict_batch(mp, ex)
-    with pytest.raises(ValueError, match="non-finite input: example 0, view_yz row 5"):
+    with pytest.raises(ValueError, match="non-finite input: example 0, yz row 5"):
         predict_batch(mp, one_frame(ex, 2))
     ex.view_yz[2, 5, 1] = 0.0
     assert np.isfinite(predict_batch(mp, ex)).any()
@@ -710,7 +735,7 @@ def test_predict_batch_peak_memory_stays_below_100_mb(variant):
     # intermediates alive until it returns and peaks at 106-263 MB on them
     cfg = ModelConfig(variant=variant, seed=56)
     ex = _packed_examples(cfg.n_max, seed=57)
-    tiled = ExampleSet(*(np.tile(a, (96, 1, 1)) for a in (ex.view_xy, ex.view_yz, ex.cloud, ex.gt)),
+    tiled = ExampleSet(*(np.tile(a, (96, 1, 1)) for a in (ex.view_xy, ex.view_yz, ex.gt)),
                        frame_ids=list(range(480)))
     mp = _trained_like(cfg, seed=58)
     tracemalloc.start()

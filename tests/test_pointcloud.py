@@ -393,14 +393,31 @@ def test_build_views_exactly_permutation_invariant(case):
     assert all((points == row).all(axis=1).any() for row in rows)
     assert _ranges(xyz[:kept]).tobytes() == np.sort(_ranges(points[:, :3]))[:kept].tobytes()
     assert view_xy[kept:].tobytes() == view_yz[kept:].tobytes() == bytes(32 * (n_max - kept))
-    assert build_cloud(points, n_max).tobytes() == xyz.tobytes()
+    assert build_cloud(view_xy, view_yz).tobytes() == xyz.tobytes()
 
 
 def test_build_cloud_matches_view_order():
     pts = np.array([[0.0, float(r), 0.2, 0.0, 0.1] for r in (3, 1, 2)])
-    cloud = build_cloud(pts, n_max=4)
+    cloud = build_cloud(*build_views(pts, n_max=4))
     np.testing.assert_allclose(cloud[:3, 1], [1, 2, 3])
     assert not cloud[3].any()
+
+
+@pytest.mark.parametrize("n_points", [0, 3, 6], ids=["empty", "partial", "truncated"])
+def test_build_cloud_is_the_sorted_truncated_padded_xyz(n_points):
+    n_max = 4
+    pts = np.array([[0.3 * (r % 2), float(r), -0.0 if r % 3 else 0.2 * r, 0.1, 0.5] for r in (5, 2, 6, 1, 4, 3)])
+    pts = pts[:n_points]
+    view_xy, view_yz = build_views(pts, n_max)
+    want = np.zeros((n_max, 3))
+    kept = pts[canonical_order(pts)][:n_max, :3]
+    want[: len(kept)] = kept
+    cloud = build_cloud(view_xy, view_yz)
+    assert cloud.shape == (n_max, 3) and cloud.tobytes() == want.tobytes()  # -0.0 keeps its sign
+    assert np.signbit(cloud[:, 2]).any() == (n_points > 0)
+    # a batch of packed views gives each frame's cloud
+    batch = build_cloud(np.stack([view_xy, np.zeros_like(view_xy)]), np.stack([view_yz, np.zeros_like(view_yz)]))
+    assert batch.shape == (2, n_max, 3) and batch[0].tobytes() == want.tobytes() and not batch[1].any()
 
 
 def test_canonical_order_breaks_ties_on_all_features():
@@ -501,3 +518,16 @@ def test_fuse_records_checks_dbscan_settings_with_no_points(eps, min_pts, messag
         fuse_records([rec], radar_ids=(0,), eps=eps, min_pts=min_pts)
     with pytest.raises(ValueError, match=message):
         dbscan(np.zeros((3, 3)), eps=eps, min_pts=min_pts)
+
+
+@pytest.mark.parametrize("radar_ids", [(1,), (0, 1)], ids=["one-radar", "two-radar"])
+@pytest.mark.parametrize("value, col", [(math.inf, 0), (-math.inf, 2), (math.nan, 4)], ids=["inf-x", "-inf-z", "nan-snr"])
+def test_fuse_records_refuses_a_raw_point_that_is_not_finite(radar_ids, value, col):
+    # json reads an overflowing literal such as 1e999 as inf; DBSCAN used to drop such a point as noise
+    rng = np.random.default_rng(25)
+    gt = [[0.0, 2.0, 1.0]] * 32
+    recs = [make_record(7, 100, rid, _blob_points([0, 2.2, 0], 10, rng), gt, "walk_toward", 0, "none")
+            for rid in (0, 1)]
+    recs[1]["points"][3][col] = value
+    with pytest.raises(ValueError, match=rf"^frame 7, radar 1: point 3 holds {value}$"):
+        fuse_records(recs, radar_ids=radar_ids, eps=0.3, min_pts=4)

@@ -89,3 +89,18 @@ def test_write_rejects_a_non_finite_value_naming_the_frame(tmp_path, value):
     rec = _record(9, [(0.1, 2.0, 0.5, value, 9.0)])
     with pytest.raises(ValueError, match=r"out\.jsonl: frame 9: Out of range float values are not JSON compliant"):
         write_jsonl(tmp_path / "out.jsonl", [_record(8), rec])
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file"])
+def test_write_leaves_no_partial_file_when_a_record_fails(tmp_path, existing):
+    # frame 1's line used to be written before frame 2 failed, leaving a valid-looking one-record file
+    path = tmp_path / "out.jsonl"
+    if existing:
+        write_jsonl(path, [_record(3), _record(4)])
+        before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"out\.jsonl: frame 2: Out of range float values"):
+        write_jsonl(path, [_record(1), _record(2, [(0.1, math.nan, 0.5, 0.0, 9.0)])])
+    if existing:
+        assert path.read_bytes() == before
+    else:
+        assert not path.exists()
