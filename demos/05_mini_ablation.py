@@ -38,4 +38,4 @@ with tempfile.TemporaryDirectory(prefix="radarpose_ablation_") as tmp:
     print(f"\nsplit digests (identical across rows): {sorted(set(report.split_digests.values()))}")
     per_joint_csv(report.rows, workdir / "ablation.joints.csv")
     n_files = sum(1 for _ in workdir.iterdir())
-    print(f"{n_files} files written (CSVs, checkpoints, loss curves, JSONL), removed at exit")
+    print(f"{n_files} files written (CSVs, checkpoints, loss curves, JSONL and meta), removed at exit")

@@ -11,35 +11,30 @@ file, the file wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .gradcheck import DEFAULT_RTOL, run_gradient_checks
 from .harness import (
     AblationConfig,
-    evaluate,
-    frames_from_records,
-    loss_curve_svg,
-    per_joint_csv,
-    report_to_csv,
     MetricsReport,
+    fit,
+    load_file,
+    meta_path,
+    per_joint_csv,
+    preprocess,
+    read_snr_bounds,
+    report_to_csv,
     run_ablation,
+    score,
+    simulate,
 )
-from .model import (
-    VARIANTS,
-    Hyper,
-    ModelConfig,
-    examples_from_frames,
-    load_checkpoint,
-    predict_batch,
-    save_checkpoint,
-    train as train_model,
-)
-from .physics import ChirpConfig
-from .pointcloud import DEFAULT_POSES, fuse_records, normalize_snr
-from .records import read_jsonl, write_jsonl
-from .scene import MotionConfig, generate_dataset
+from .model import VARIANTS, Hyper, ModelConfig, load_checkpoint
+from .records import read_jsonl
+
+#: the flags whose config field has another name; every other flag sets the field it names
+FLAG_FIELDS = {"frames": "n_train", "test_frames": "n_test", "duration": "duration_s"}
 
 
 def parse_config_file(path) -> dict:
@@ -74,115 +69,34 @@ def _comma_ints(text: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# the pipeline subcommands: each runs one harness step on its parsed flags
 # ---------------------------------------------------------------------------
 
+def _config(cls, args):
+    """A ``cls`` whose fields take the values of the flags that name them (through ``FLAG_FIELDS``)."""
+    values = {FLAG_FIELDS.get(dest, dest): value for dest, value in vars(args).items()}
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
+
 def cmd_simulate(args) -> int:
-    motion = MotionConfig(fps=args.fps, duration_s=args.duration, walk_speed=args.walk_speed, seed=args.seed)
-    records = generate_dataset(
-        args.actions,
-        motion,
-        radar_poses=DEFAULT_POSES[: args.radars],
-        chirp_cfg=ChirpConfig(noise_std=args.noise_std),
-        out_path=args.out,
-        n_frames=args.frames,
-        subjects=args.subjects,
-        density=args.density,
-        threshold_db=args.threshold_db,
-    )
+    cfg = _config(AblationConfig, args)
+    records = simulate(cfg, cfg.seed, cfg.n_train, args.out, args.radars)
     print(f"wrote {len(records)} records ({args.frames} frames x {args.radars} radars) to {args.out}")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# preprocess
-# ---------------------------------------------------------------------------
-
 def cmd_preprocess(args) -> int:
     records = read_jsonl(args.input)
-    bounds = None
-    if args.snr_meta:
-        meta = json.loads(Path(args.snr_meta).read_text(encoding="utf-8"))
-        bounds = _snr_bounds(meta, args.snr_meta, required=True)
-    fused = fuse_records(
-        records,
-        radar_ids=args.radars,
-        window_ms=args.window_ms,
-        eps=args.eps,
-        min_pts=args.min_pts,
-    )
-    fused, (lo, hi) = normalize_snr(fused, bounds)
-    write_jsonl(args.out, fused)
-    meta = {
-        "snr_min": lo,
-        "snr_max": hi,
-        "eps": args.eps,
-        "min_pts": args.min_pts,
-        "window_ms": args.window_ms,
-        "n_max": args.n_max,
-        "radar_ids": list(args.radars),
-    }
-    meta_path = _meta_path(args.out)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    print(f"wrote {len(fused)} fused frames to {args.out} (snr affine [{lo:.3f}, {hi:.3f}], meta {meta_path})")
+    bounds = read_snr_bounds(args.snr_meta) if args.snr_meta else None
+    fused, (lo, hi) = preprocess(records, args.radars, _config(AblationConfig, args), bounds, args.out)
+    print(f"wrote {len(fused)} fused frames to {args.out} (snr affine [{lo:.3f}, {hi:.3f}], meta {meta_path(args.out)})")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# train
-# ---------------------------------------------------------------------------
-
-def _meta_path(path) -> Path:
-    """Where ``preprocess`` writes the meta file of the data at ``path``."""
-    return Path(str(path) + ".meta.json")
-
-
-def _read_meta(path) -> dict:
-    """The ``<path>.meta.json`` that ``preprocess`` wrote next to ``path``, or {}."""
-    meta_path = _meta_path(path)
-    return json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-
-
-def _snr_bounds(meta: dict, meta_path, required: bool = False):
-    """``(snr_min, snr_max)`` from a preprocess meta file.
-
-    None when the file holds neither field and ``required`` is false; a
-    ``ValueError`` naming the file and the field when one is missing.
-    """
-    missing = [k for k in ("snr_min", "snr_max") if k not in meta]
-    if len(missing) == 2 and not required:
-        return None
-    if missing:
-        raise ValueError(f"{meta_path} has no {missing[0]!r} field; SNR bounds need both snr_min and snr_max")
-    return (meta["snr_min"], meta["snr_max"])
-
-
-def _load_examples(path, n_max):
-    meta = _read_meta(path)
-    bounds = _snr_bounds(meta, _meta_path(path))
-    records = read_jsonl(path)
-    if n_max is None:
-        n_max = meta.get("n_max", ModelConfig.n_max)
-    examples = examples_from_frames(frames_from_records(records), n_max)
-    return examples, n_max, bounds
-
-
 def cmd_train(args) -> int:
-    examples, n_max, snr_bounds = _load_examples(args.data, args.n_max)
+    examples, _, n_max, snr_bounds = load_file(args.data, args.n_max)
     cfg = ModelConfig(variant=args.variant, n_max=n_max, seed=args.seed)
-    hyper = Hyper(
-        lr=args.lr,
-        batch=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
-        val_fraction=args.val_fraction,
-        stop_loss=args.stop_loss,
-    )
-    params, history = train_model(cfg, examples, hyper)
-    params.snr_bounds = snr_bounds
-    save_checkpoint(params, args.checkpoint)
-    if args.loss_svg:
-        loss_curve_svg(history, args.loss_svg)
+    _, history = fit(cfg, examples, _config(Hyper, args), snr_bounds, args.checkpoint, args.loss_svg)
     last = history[-1]
     print(
         f"trained {args.variant} on {len(examples)} frames for {len(history)} epochs: "
@@ -191,13 +105,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# eval
-# ---------------------------------------------------------------------------
-
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    test_bounds = _snr_bounds(_read_meta(args.test), _meta_path(args.test))
+    examples, gts, _, test_bounds = load_file(args.test, params.config.n_max)
     if test_bounds is not None and params.snr_bounds is not None:
         if tuple(params.snr_bounds) != test_bounds:
             raise ValueError(
@@ -205,12 +115,8 @@ def cmd_eval(args) -> int:
                 f"{args.checkpoint} was trained with {tuple(params.snr_bounds)}; preprocess the test "
                 "data with --snr-meta pointing at the training data's .meta.json"
             )
-    records = read_jsonl(args.test)
-    frames = frames_from_records(records)
-    examples = examples_from_frames(frames, params.config.n_max)
-    preds = predict_batch(params, examples)
+    row = score(params, examples, gts, params.config.variant)
     included = params.config.included_joints
-    row = evaluate(preds, [f.gt for f in frames], included, name=params.config.variant)
     text = report_to_csv(MetricsReport(rows=[row]), args.report, included)
     print(text, end="")
     if args.report:
@@ -220,31 +126,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# ablate
-# ---------------------------------------------------------------------------
-
 def cmd_ablate(args) -> int:
-    cfg = AblationConfig(
-        workdir=args.workdir,
-        n_train=args.frames,
-        n_test=args.test_frames,
-        seed=args.seed,
-        fps=args.fps,
-        duration_s=args.duration,
-        eps=args.eps,
-        min_pts=args.min_pts,
-        window_ms=args.window_ms,
-        noise_std=args.noise_std,
-        threshold_db=args.threshold_db,
-        n_max=args.n_max,
-        lr=args.lr,
-        batch=args.batch,
-        epochs=args.epochs,
-        train_seed=args.train_seed,
-        keep_files=args.keep_files,
-    )
-    report = run_ablation(cfg)
+    report = run_ablation(_config(AblationConfig, args))
     text = report_to_csv(report, args.out_csv)
     per_joint_csv(report.rows, Path(args.out_csv).with_suffix(".joints.csv"))
     print(text, end="")

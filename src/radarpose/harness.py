@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .physics import ChirpConfig
 from .pointcloud import (
     DEFAULT_EPS_M,
     DEFAULT_MIN_PTS,
+    DEFAULT_POSES,
     DEFAULT_WINDOW_MS,
     FusedFrame,
     check_dbscan_args,
@@ -32,7 +33,7 @@ from .pointcloud import (
     fuse_records,
     normalize_snr,
 )
-from .records import validate_record, write_jsonl
+from .records import read_jsonl, validate_record, write_jsonl
 from .scene import (
     ACTIONS,
     ARM_JOINTS,
@@ -320,25 +321,120 @@ def _split_digest(frame_ids, hyper: Hyper) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _pipeline(records, radar_ids, cfg: AblationConfig, snr_bounds=None):
-    """Fused, SNR-scaled records and the SNR bounds used."""
-    fused = fuse_records(records, radar_ids=radar_ids, window_ms=cfg.window_ms, eps=cfg.eps, min_pts=cfg.min_pts)
-    return normalize_snr(fused, snr_bounds)
+# ---------------------------------------------------------------------------
+# pipeline steps: run_ablation and the CLI subcommands share each of these
+# ---------------------------------------------------------------------------
+
+def simulate(cfg: AblationConfig, seed: int, n_frames: int, out_path=None, n_radars: int = 2) -> list[dict]:
+    """Raw records of ``n_frames`` frames of ``cfg``'s scenes, drawn with ``seed``.
+
+    One record per frame and radar, from the first ``n_radars`` of the
+    default poses; with ``out_path`` they are also written there as JSONL.
+    """
+    return generate_dataset(
+        cfg.actions,
+        MotionConfig(fps=cfg.fps, duration_s=cfg.duration_s, walk_speed=cfg.walk_speed, seed=seed),
+        radar_poses=DEFAULT_POSES[:n_radars],
+        chirp_cfg=ChirpConfig(noise_std=cfg.noise_std),
+        out_path=out_path,
+        n_frames=n_frames,
+        subjects=cfg.subjects,
+        density=cfg.density,
+        threshold_db=cfg.threshold_db,
+    )
 
 
 def simulate_split(cfg: AblationConfig, out_dir: Path | None = None):
     """Generate the raw train and test record streams (disjoint seeds)."""
-    motion = MotionConfig(fps=cfg.fps, duration_s=cfg.duration_s, walk_speed=cfg.walk_speed, seed=cfg.seed)
-    chirp = ChirpConfig(noise_std=cfg.noise_std)
 
     def split(name: str, seed: int, n_frames: int) -> list[dict]:
-        return generate_dataset(
-            cfg.actions, replace(motion, seed=seed), chirp_cfg=chirp, n_frames=n_frames,
-            subjects=cfg.subjects, density=cfg.density, threshold_db=cfg.threshold_db,
-            out_path=None if out_dir is None else Path(out_dir) / f"{name}_raw.jsonl",
-        )
+        return simulate(cfg, seed, n_frames, None if out_dir is None else Path(out_dir) / f"{name}_raw.jsonl")
 
     return split("train", cfg.seed, cfg.n_train), split("test", cfg.seed + TEST_SEED_OFFSET, cfg.n_test)
+
+
+def meta_path(path) -> Path:
+    """Where :func:`preprocess` writes the meta file of the data at ``path``."""
+    return Path(str(path) + ".meta.json")
+
+
+def _meta_bounds(meta: dict, meta_file, required: bool = False):
+    """``(snr_min, snr_max)`` from a preprocess meta file.
+
+    None when the file holds neither field and ``required`` is false; a
+    ``ValueError`` naming the file and the field when one is missing.
+    """
+    missing = [k for k in ("snr_min", "snr_max") if k not in meta]
+    if len(missing) == 2 and not required:
+        return None
+    if missing:
+        raise ValueError(f"{meta_file} has no {missing[0]!r} field; SNR bounds need both snr_min and snr_max")
+    return (meta["snr_min"], meta["snr_max"])
+
+
+def read_snr_bounds(meta_file) -> tuple:
+    """The SNR bounds that the preprocess meta file ``meta_file`` holds; both fields are required."""
+    return _meta_bounds(json.loads(Path(meta_file).read_text(encoding="utf-8")), meta_file, required=True)
+
+
+def preprocess(records, radar_ids, cfg: AblationConfig, snr_bounds=None, out_path=None):
+    """Fused, SNR-scaled records and the SNR bounds used.
+
+    The bounds are ``snr_bounds`` when given, else those of the fused
+    records. With ``out_path`` the records are written there as JSONL, and
+    the bounds and settings to its :func:`meta_path`.
+    """
+    fused = fuse_records(records, radar_ids=radar_ids, window_ms=cfg.window_ms, eps=cfg.eps, min_pts=cfg.min_pts)
+    fused, (lo, hi) = normalize_snr(fused, snr_bounds)
+    if out_path is not None:
+        write_jsonl(out_path, fused)
+        meta = {
+            "snr_min": lo,
+            "snr_max": hi,
+            "eps": cfg.eps,
+            "min_pts": cfg.min_pts,
+            "window_ms": cfg.window_ms,
+            "n_max": cfg.n_max,
+            "radar_ids": list(radar_ids),
+        }
+        meta_path(out_path).write_text(json.dumps(meta), encoding="utf-8")
+    return fused, (lo, hi)
+
+
+def load(records, n_max: int):
+    """The ``ExampleSet`` of fused records and their ground-truth frames."""
+    frames = frames_from_records(records)
+    return examples_from_frames(frames, n_max), [f.gt for f in frames]
+
+
+def load_file(path, n_max: int | None = None):
+    """:func:`load` of a fused JSONL file: ``(examples, gts, n_max, snr_bounds)``.
+
+    ``n_max`` defaults to the one in the file's meta, else ``ModelConfig``'s;
+    the SNR bounds are the meta's, or None without them.
+    """
+    meta_file = meta_path(path)
+    meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
+    bounds = _meta_bounds(meta, meta_file)
+    if n_max is None:
+        n_max = meta.get("n_max", ModelConfig.n_max)
+    return (*load(read_jsonl(path), n_max), n_max, bounds)
+
+
+def fit(model_cfg: ModelConfig, examples, hyper: Hyper, snr_bounds, checkpoint=None, loss_svg=None):
+    """Train a model, record the SNR bounds it was trained with, and save what is asked for."""
+    params, history = train(model_cfg, examples, hyper)
+    params.snr_bounds = snr_bounds
+    if checkpoint is not None:
+        save_checkpoint(params, checkpoint)
+    if loss_svg is not None:
+        loss_curve_svg(history, loss_svg)
+    return params, history
+
+
+def score(params, examples, gts, name: str) -> VariantMetrics:
+    """The metrics row of a model's predictions on ``examples`` against ``gts``."""
+    return evaluate(predict_batch(params, examples), gts, params.config.included_joints, name=name)
 
 
 def run_ablation(cfg: AblationConfig) -> MetricsReport:
@@ -354,45 +450,27 @@ def run_ablation(cfg: AblationConfig) -> MetricsReport:
     check_dbscan_args(cfg.eps, cfg.min_pts)
     hyper = Hyper(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs, seed=cfg.train_seed)
     model_cfgs = [ModelConfig(variant=variant, n_max=cfg.n_max, seed=cfg.train_seed) for _, variant, _ in ABLATION_ROWS]
-    workdir = Path(cfg.workdir)
-    if cfg.keep_files:
+    workdir = Path(cfg.workdir) if cfg.keep_files else None
+    if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)
-    train_records, test_records = simulate_split(cfg, workdir if cfg.keep_files else None)
+    train_records, test_records = simulate_split(cfg, workdir)
 
-    pipelines = {}
+    def kept(name: str):
+        return None if workdir is None else workdir / name
+
+    data = {}
     for key, radar_ids in (("both", (0, 1)), ("radar_a", (0,))):
-        fused_train, bounds = _pipeline(train_records, radar_ids, cfg)
-        fused_test, _ = _pipeline(test_records, radar_ids, cfg, snr_bounds=bounds)
-        if cfg.keep_files:
-            write_jsonl(workdir / f"train_fused_{key}.jsonl", fused_train)
-            write_jsonl(workdir / f"test_fused_{key}.jsonl", fused_test)
-        train_frames = frames_from_records(fused_train)
-        test_frames = frames_from_records(fused_test)
-        pipelines[key] = {
-            "train": examples_from_frames(train_frames, cfg.n_max),
-            "test": examples_from_frames(test_frames, cfg.n_max),
-            "test_gts": [f.gt for f in test_frames],
-            "train_gts": [f.gt for f in train_frames],
-            "snr_bounds": bounds,
-        }
+        fused_train, bounds = preprocess(train_records, radar_ids, cfg, out_path=kept(f"train_fused_{key}.jsonl"))
+        fused_test, _ = preprocess(test_records, radar_ids, cfg, bounds, kept(f"test_fused_{key}.jsonl"))
+        data[key] = (*load(fused_train, cfg.n_max), *load(fused_test, cfg.n_max), bounds)
 
-    report = MetricsReport(rows=[])
-
-    base = pipelines["both"]
-    baseline_pose = mean_pose_baseline(base["train_gts"])
-    baseline_pred = np.tile(baseline_pose, (len(base["test_gts"]), 1, 1))
-    report.baseline = evaluate(baseline_pred, base["test_gts"], name="Mean-pose baseline")
-
-    for (name, variant, pipeline_key), mcfg in zip(ABLATION_ROWS, model_cfgs):
-        data = pipelines[pipeline_key]
-        params, history = train(mcfg, data["train"], hyper)
-        params.snr_bounds = data["snr_bounds"]
-        preds = predict_batch(params, data["test"])
-        row = evaluate(preds, data["test_gts"], name=name)
-        report.rows.append(row)
-        report.split_digests[name] = _split_digest(data["train"].frame_ids, hyper)
-        if cfg.keep_files:
-            tag = variant if pipeline_key == "both" else f"{variant}_{pipeline_key}"
-            save_checkpoint(params, workdir / f"ckpt_{tag}.json")
-            loss_curve_svg(history, workdir / f"loss_{tag}.svg")
+    _, train_gts, _, test_gts, _ = data["both"]
+    baseline_pred = np.tile(mean_pose_baseline(train_gts), (len(test_gts), 1, 1))
+    report = MetricsReport(rows=[], baseline=evaluate(baseline_pred, test_gts, name="Mean-pose baseline"))
+    for (name, variant, key), mcfg in zip(ABLATION_ROWS, model_cfgs):
+        train_ex, _, test_ex, test_gts, bounds = data[key]
+        tag = variant if key == "both" else f"{variant}_{key}"
+        params, _ = fit(mcfg, train_ex, hyper, bounds, kept(f"ckpt_{tag}.json"), kept(f"loss_{tag}.svg"))
+        report.rows.append(score(params, test_ex, test_gts, name))
+        report.split_digests[name] = _split_digest(train_ex.frame_ids, hyper)
     return report

@@ -273,8 +273,11 @@ def fuse_records(
 ) -> list[dict]:
     """Turn raw per-radar records into denoised world-frame fused records.
 
-    With two radar ids, the streams are timestamp-aligned and merged before
-    clustering; with one, each frame is transformed and denoised alone.
+    Each fused record comes from a group of raw records: one radar frame
+    when one id is given, a timestamp-aligned pair of frames when two are.
+    The group's points are moved to the world frame, merged and denoised;
+    the record takes the group's integer mean ``t_ms``, the first record's
+    frame id and labels, and the lone radar id or ``FUSED_RADAR_ID``.
     A negative or non-finite ``window_ms``, a bad ``eps`` or ``min_pts``, a
     repeated radar id and an id with no pose in ``poses`` raise in both
     modes, before any record is read; a point value that is not finite
@@ -293,39 +296,29 @@ def fuse_records(
         rid: sorted((r for r in records if r["radar_id"] == rid), key=lambda r: (r["t_ms"], r["frame_id"]))
         for rid in radar_ids
     }
-    fused = []
     if len(radar_ids) == 2:
-        id_a, id_b = radar_ids
-        stream_a, stream_b = streams[id_a], streams[id_b]
-        for i, j in align_streams([r["t_ms"] for r in stream_a], [r["t_ms"] for r in stream_b], window_ms):
-            rec_a, rec_b = stream_a[i], stream_b[j]
-            pts = np.vstack(
-                [
-                    _transform_record_points(rec_a, poses[id_a]),
-                    _transform_record_points(rec_b, poses[id_b]),
-                ]
-            )
-            fused.append(_denoised_record(rec_a, (rec_a["t_ms"] + rec_b["t_ms"]) // 2, FUSED_RADAR_ID, pts, eps, min_pts))
+        stream_a, stream_b = streams.values()
+        aligned = align_streams([r["t_ms"] for r in stream_a], [r["t_ms"] for r in stream_b], window_ms)
+        groups = [(stream_a[i], stream_b[j]) for i, j in aligned]
+        radar_id = FUSED_RADAR_ID
     else:
-        rid = radar_ids[0]
-        for rec in streams[rid]:
-            pts = _transform_record_points(rec, poses[rid])
-            fused.append(_denoised_record(rec, rec["t_ms"], rid, pts, eps, min_pts))
+        (radar_id,) = radar_ids
+        groups = [(rec,) for rec in streams[radar_id]]
+    fused = []
+    for group in groups:
+        pts = np.vstack([_transform_record_points(rec, poses[rec["radar_id"]]) for rec in group])
+        if len(pts):
+            pts = pts[dbscan(pts[:, :3], eps, min_pts) != -1]
+        src = group[0]
+        fused.append(make_record(
+            frame_id=src["frame_id"],
+            t_ms=sum(rec["t_ms"] for rec in group) // len(group),
+            radar_id=radar_id,
+            points=pts,
+            gt=src["gt"],
+            action=src["action"],
+            subject=src["subject"],
+            swing_state=src["swing_state"],
+            fused=True,
+        ))
     return fused
-
-
-def _denoised_record(src: dict, t_ms: int, radar_id: int, pts: np.ndarray, eps: float, min_pts: int) -> dict:
-    if len(pts):
-        labels = dbscan(pts[:, :3], eps, min_pts)
-        pts = pts[labels != -1]
-    return make_record(
-        frame_id=src["frame_id"],
-        t_ms=t_ms,
-        radar_id=radar_id,
-        points=pts,
-        gt=src["gt"],
-        action=src["action"],
-        subject=src["subject"],
-        swing_state=src["swing_state"],
-        fused=True,
-    )

@@ -156,6 +156,7 @@ REST_DEPTH = 2.7
 WALK_LEG_AMPLITUDE = math.radians(25.0)
 WALK_ARM_AMPLITUDE = math.radians(20.0)
 SWING_RAISE_MAX = math.radians(150.0)
+SWING_PERIOD_S = 1.5  # one arm raise and lower; also the walking gait period
 
 #: Reflection gain per body segment, keyed by child joint (torso > limbs).
 _TORSO = {"spine_navel", "spine_chest", "neck", "clavicle_left", "clavicle_right", "hip_left", "hip_right"}
@@ -209,12 +210,11 @@ class MotionConfig:
     fps: float = 20.0
     duration_s: float = 3.0
     walk_speed: float = 0.5  # [m/s]
-    swing_period_s: float = 1.5
     bone_lengths: dict = field(default_factory=lambda: dict(DEFAULT_BONE_LENGTHS))
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("fps", "duration_s", "swing_period_s"):
+        for name in ("fps", "duration_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -344,13 +344,13 @@ def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
     joints[:, 0] += lateral_x
 
     if action in ("walk_toward", "walk_away"):
-        gait = math.sin(2.0 * math.pi * t / cfg.swing_period_s + gait_phase)
+        gait = math.sin(2.0 * math.pi * t / SWING_PERIOD_S + gait_phase)
         _rotate_chain(joints, "hip_left", _LEFT_LEG, WALK_LEG_AMPLITUDE * gait)
         _rotate_chain(joints, "hip_right", _RIGHT_LEG, -WALK_LEG_AMPLITUDE * gait)
         _rotate_chain(joints, "shoulder_left", _LEFT_ARM, -WALK_ARM_AMPLITUDE * gait)
         _rotate_chain(joints, "shoulder_right", _RIGHT_ARM, WALK_ARM_AMPLITUDE * gait)
     else:
-        raise_angle = SWING_RAISE_MAX * 0.5 * (1.0 - math.cos(2.0 * math.pi * t / cfg.swing_period_s))
+        raise_angle = SWING_RAISE_MAX * 0.5 * (1.0 - math.cos(2.0 * math.pi * t / SWING_PERIOD_S))
         if action == "swing_right":
             _rotate_chain(joints, "shoulder_right", _RIGHT_ARM, -raise_angle)
         else:

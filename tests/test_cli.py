@@ -342,6 +342,59 @@ def test_ablate_cli_smoke(tmp_path, capsys):
     assert "split digest" in printed
 
 
+#: ablate at tiny settings; the chain below repeats them flag by flag
+TINY = ["--frames", "24", "--test-frames", "16", "--duration", "0.75", "--seed", "2", "--n-max", "16", "--epochs", "1"]
+
+
+@pytest.fixture(scope="module")
+def kept_ablation(tmp_path_factory):
+    """``ablate --keep-files true`` at the TINY settings: its workdir and its CSV text."""
+    root = tmp_path_factory.mktemp("kept_ablation")
+    work, out_csv = root / "work", root / "ablation.csv"
+    assert main(["ablate", *TINY, "--workdir", str(work), "--keep-files", "true", "--out-csv", str(out_csv)]) == 0
+    return work, out_csv.read_text()
+
+
+def test_ablate_kept_fused_files_carry_their_meta(kept_ablation, small_pipeline, tmp_path):
+    # without it, train on ablate's files used n_max 64 and eval skipped the SNR-bounds check
+    work, _ = kept_ablation
+    for name in ("train_fused_both", "test_fused_both", "train_fused_radar_a", "test_fused_radar_a"):
+        assert json.loads((work / f"{name}.jsonl.meta.json").read_text())["n_max"] == 16
+    ckpt = tmp_path / "ckpt.json"
+    assert main(["train", "--data", str(work / "train_fused_both.jsonl"), "--epochs", "1",
+                 "--checkpoint", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt).config.n_max == 16
+    _, _, _, other_ckpt = small_pipeline  # trained on data with other SNR bounds
+    with pytest.raises(ValueError, match="was SNR-normalized with"):
+        main(["eval", "--checkpoint", str(other_ckpt), "--test", str(work / "test_fused_both.jsonl")])
+
+
+def test_cli_chain_reproduces_ablate_byte_for_byte(kept_ablation, tmp_path, capsys):
+    work, csv_text = kept_ablation
+    for split, seed, frames in (("train", 2, "24"), ("test", 2 + harness.TEST_SEED_OFFSET, "16")):
+        raw = tmp_path / f"{split}_raw.jsonl"
+        assert main(["simulate", "--frames", frames, "--duration", "0.75", "--seed", str(seed), "--out", str(raw)]) == 0
+        for key, radars in (("both", "0,1"), ("radar_a", "0")):
+            snr_meta = [] if split == "train" else ["--snr-meta", str(tmp_path / f"train_fused_{key}.jsonl.meta.json")]
+            assert main(["preprocess", "--in", str(raw), "--out", str(tmp_path / f"{split}_fused_{key}.jsonl"),
+                         "--radars", radars, "--n-max", "16", *snr_meta]) == 0
+    for tag, key in (("dual_cnn", "both"), ("dual_cnn_radar_a", "radar_a")):
+        assert main(["train", "--data", str(tmp_path / f"train_fused_{key}.jsonl"), "--epochs", "1",
+                     "--checkpoint", str(tmp_path / f"ckpt_{tag}.json"),
+                     "--loss-svg", str(tmp_path / f"loss_{tag}.svg")]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "ckpt_dual_cnn.json"),
+                 "--test", str(tmp_path / "test_fused_both.jsonl")]) == 0
+    eval_row = capsys.readouterr().out.splitlines()[1]
+
+    made = sorted(p.name for p in tmp_path.iterdir())
+    assert len(made) == 14  # 2 raw, 4 fused and their 4 metas, 2 checkpoints, 2 loss curves
+    for name in made:
+        assert (tmp_path / name).read_bytes() == (work / name).read_bytes(), name
+    (csv_row,) = [line for line in csv_text.splitlines() if line.startswith("Two-radar + CNN,")]
+    assert eval_row.split(",")[1:] == csv_row.split(",")[1:]
+
+
 # ---------------------------------------------------------------------------
 # the CLI surface: flags, config keys and resolved defaults
 # ---------------------------------------------------------------------------
@@ -437,7 +490,10 @@ def _spy(seen, returns=None, **names):
 def _observe(monkeypatch, command, argv):
     """Run one subcommand with its work stubbed out; the option values it used."""
     seen = {}
-    patch = lambda name, fake: monkeypatch.setattr(cli, name, fake)  # noqa: E731
+
+    def patch(name, fake, module=harness):
+        monkeypatch.setattr(module, name, fake)
+
     if command == "simulate":
         def generate(actions, motion, radar_poses, chirp_cfg, out_path, n_frames, subjects, density, threshold_db):
             seen.update(
@@ -449,7 +505,7 @@ def _observe(monkeypatch, command, argv):
             return []
         patch("generate_dataset", generate)
     elif command == "preprocess":
-        patch("read_jsonl", _spy(seen, [], input=lambda path: path))
+        patch("read_jsonl", _spy(seen, [], input=lambda path: path), cli)
         patch("fuse_records", _spy(
             seen, [], radars=lambda recs, radar_ids, window_ms, eps, min_pts: tuple(radar_ids),
             window_ms=lambda *a, window_ms, **k: window_ms,
@@ -459,8 +515,8 @@ def _observe(monkeypatch, command, argv):
         patch("write_jsonl", _spy(seen, out=lambda path, recs: path))
     elif command == "train":
         history = [{"train_loss": 0.0, "val_loss": 0.0}]
-        patch("_load_examples", _spy(seen, ([0], 64, None), data=lambda p, n: p, n_max=lambda p, n: n))
-        patch("train_model", _spy(
+        patch("load_file", _spy(seen, ([0], [], 64, None), data=lambda p, n: p, n_max=lambda p, n: n), cli)
+        patch("train", _spy(
             seen, lambda: (SimpleNamespace(), history),
             variant=lambda cfg, ex, h: cfg.variant, seed=lambda cfg, ex, h: (cfg.seed, h.seed),
             lr=lambda c, e, h: h.lr, batch=lambda c, e, h: h.batch, epochs=lambda c, e, h: h.epochs,
@@ -470,12 +526,13 @@ def _observe(monkeypatch, command, argv):
         patch("loss_curve_svg", _spy(seen, loss_svg=lambda hist, path: path))
         seen["loss_svg"] = None
     elif command == "eval":
-        patch("load_checkpoint", _spy(seen, SimpleNamespace(config=ModelConfig()), checkpoint=lambda p: p))
+        patch("load_checkpoint", _spy(seen, SimpleNamespace(config=ModelConfig()), checkpoint=lambda p: p), cli)
         patch("read_jsonl", _spy(seen, [], test=lambda p: p))
         patch("frames_from_records", _spy(seen, []))
-        for name in ("examples_from_frames", "predict_batch", "evaluate", "per_joint_csv"):
+        for name in ("examples_from_frames", "predict_batch", "evaluate"):
             patch(name, _spy(seen))
-        patch("report_to_csv", _spy(seen, "", report=lambda rep, path, js: path))
+        patch("per_joint_csv", _spy(seen), cli)
+        patch("report_to_csv", _spy(seen, "", report=lambda rep, path, js: path), cli)
     elif command == "ablate":
         fields = {
             "workdir": "workdir", "frames": "n_train", "test_frames": "n_test", "seed": "seed",
@@ -487,13 +544,13 @@ def _observe(monkeypatch, command, argv):
         report = SimpleNamespace(rows=[], baseline=None, split_digests={})
         patch("run_ablation", _spy(seen, report, **{
             key: (lambda field: lambda cfg: getattr(cfg, field))(field) for key, field in fields.items()
-        }))
-        patch("report_to_csv", _spy(seen, "", out_csv=lambda rep, path: path))
-        patch("per_joint_csv", _spy(seen))
+        }), cli)
+        patch("report_to_csv", _spy(seen, "", out_csv=lambda rep, path: path), cli)
+        patch("per_joint_csv", _spy(seen), cli)
     elif command == "gradcheck":
         patch("run_gradient_checks", _spy(
             seen, [], seed=lambda seeds, rtol: seeds[0], tolerance=lambda seeds, rtol: rtol,
-        ))
+        ), cli)
     assert cli.main([command, *argv]) == 0
     if command == "preprocess":
         seen["n_max"] = json.loads(open(str(seen["out"]) + ".meta.json").read())["n_max"]

@@ -1,6 +1,8 @@
 """The fast narrative demos run to completion.
 
 Demos 04 and 05 train models and take about 12 s each, so they stay out.
+Each demo runs with numpy's RuntimeWarning raised as an error, as in the
+test suite itself.
 """
 
 import os
@@ -24,7 +26,7 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

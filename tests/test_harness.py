@@ -26,7 +26,7 @@ DEPTH_AXIS = 1  # world y
 
 def swing_gts(n=6):
     """Ground-truth frames alternating swing sides, elbows raised at peak."""
-    cfg = MotionConfig(swing_period_s=1.5, seed=1)
+    cfg = MotionConfig(seed=1)
     frames = []
     for i in range(n):
         action = "swing_right" if i % 2 == 0 else "swing_left"

@@ -129,8 +129,6 @@ def test_template_depth_placement():
         ("duration_s", -1.0),
         ("duration_s", 0.0),
         ("duration_s", math.nan),
-        ("swing_period_s", 0.0),
-        ("swing_period_s", math.inf),
         ("walk_speed", math.nan),
         ("walk_speed", math.inf),
         ("walk_speed", -0.1),
@@ -164,7 +162,7 @@ def test_depth_stays_clamped():
 
 
 def test_swing_right_peak_raises_right_elbow():
-    cfg = MotionConfig(swing_period_s=1.5)
+    cfg = MotionConfig()
     frame = pose_at("swing_right", 0.75, cfg)  # half period = raise peak
     assert frame.joint("elbow_right")[2] > frame.joint("elbow_left")[2]
     assert frame.joint("elbow_right")[2] > frame.joint("shoulder_right")[2]
