@@ -31,6 +31,7 @@ from .harness import (
     simulate,
 )
 from .model import VARIANTS, Hyper, ModelConfig, load_checkpoint
+from .pointcloud import DEFAULT_POSES
 from .records import read_jsonl
 
 #: the flags whose config field has another name; every other flag sets the field it names
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, default=AblationConfig.fps)
     p.add_argument("--duration", type=float, default=AblationConfig.duration_s)
     p.add_argument("--walk-speed", type=float, default=AblationConfig.walk_speed)
-    p.add_argument("--radars", type=int, choices=(1, 2), default=2)
+    p.add_argument("--radars", type=int, choices=range(1, len(DEFAULT_POSES) + 1), default=len(DEFAULT_POSES))
     p.add_argument("--subjects", type=_comma_ints, default=AblationConfig.subjects)
     p.add_argument("--seed", type=int, default=AblationConfig.seed)
     p.add_argument("--noise-std", type=float, default=AblationConfig.noise_std)

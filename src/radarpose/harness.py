@@ -1,13 +1,18 @@
 """Experiment harness: metric computation, the four-way ablation, reports.
 
 Metrics (all in cm, computed per axis): overall MAE over the included
-joints, MAE of the arm joints on swing frames, MAE of the lower body, MAE
-along the depth (world y) axis, and the arm-swing recognition percentage.
+joints, MAE of the arm joints, MAE of the lower body, MAE along the depth
+(world y) axis, and the arm-swing recognition percentage. The two arm
+metrics select their frames differently:
 
-The swing-recognition rule is this workbench's own definition: a swing
-frame (ground-truth swing_state of "left" or "right") counts as correct
-when the predicted elbow on that side sits at least ``SWING_MARGIN_CM``
-above the predicted opposite elbow.
+- the arm MAE ("MAE when swinging arms") averages the arm joints over every
+  frame of the ``swing_right`` and ``swing_left`` sequences, selected by the
+  ground truth's ``action``, whether or not the arm is raised in that frame;
+- the recognition percentage counts only the frames whose ground-truth
+  ``swing_state`` names a side ("left" or "right": that elbow is above its
+  shoulder line). This rule is this workbench's own definition: such a
+  frame counts as correct when the predicted elbow on that side sits at
+  least ``SWING_MARGIN_CM`` above the predicted opposite elbow.
 """
 
 from __future__ import annotations
@@ -114,11 +119,13 @@ def evaluate(preds: np.ndarray, gts: list[SkeletonFrame], included: tuple = DEFA
 
     ``preds`` is an (F, 32, 3) array in metres, such as
     :func:`~radarpose.model.predict_batch` returns (NaN rows allowed for
-    absent joints); ``gts`` the F ground-truth frames, whose action and
-    swing-state labels select the swing frames. The overall, depth and
-    per-joint MAEs cover the ``included`` joints; an unknown name raises.
-    The lower-body and arm MAEs cover ``LOWER_BODY_JOINTS`` and
-    ``ARM_JOINTS``.
+    absent joints); ``gts`` the F ground-truth frames. The overall, depth
+    and per-joint MAEs cover the ``included`` joints; an unknown name
+    raises. The lower-body and arm MAEs cover ``LOWER_BODY_JOINTS`` and
+    ``ARM_JOINTS``. The arm MAE averages every frame whose ``action`` is
+    ``swing_right`` or ``swing_left`` (None without such frames); the
+    recognition percentage, :func:`arm_swing_score`, counts only the frames
+    whose ``swing_state`` names a side.
     """
     unknown = [j for j in included if j not in JOINT_INDEX]
     if unknown:
@@ -325,16 +332,17 @@ def _split_digest(frame_ids, hyper: Hyper) -> str:
 # pipeline steps: run_ablation and the CLI subcommands share each of these
 # ---------------------------------------------------------------------------
 
-def simulate(cfg: AblationConfig, seed: int, n_frames: int, out_path=None, n_radars: int = 2) -> list[dict]:
+def simulate(cfg: AblationConfig, seed: int, n_frames: int, out_path=None,
+             n_radars: int = len(DEFAULT_POSES)) -> list[dict]:
     """Raw records of ``n_frames`` frames of ``cfg``'s scenes, drawn with ``seed``.
 
-    One record per frame and radar, from the first ``n_radars`` of the
-    default poses; with ``out_path`` they are also written there as JSONL.
+    One record per frame and radar, from radars 0 to ``n_radars - 1``; with
+    ``out_path`` they are also written there as JSONL.
     """
     return generate_dataset(
         cfg.actions,
         MotionConfig(fps=cfg.fps, duration_s=cfg.duration_s, walk_speed=cfg.walk_speed, seed=seed),
-        radar_poses=DEFAULT_POSES[:n_radars],
+        radar_ids=tuple(range(n_radars)),
         chirp_cfg=ChirpConfig(noise_std=cfg.noise_std),
         out_path=out_path,
         n_frames=n_frames,

@@ -37,7 +37,8 @@ class RadarPose:
             raise ValueError("|tilt_down_rad| must be < pi/2")
 
 
-#: Default dual-radar mounting: one low and gently tilted, one high and steeper.
+#: The mount of each radar, indexed by radar id: one low and gently tilted,
+#: one high and steeper.
 RADAR_A_POSE = RadarPose(height_m=1.0, tilt_down_rad=math.radians(15.0))
 RADAR_B_POSE = RadarPose(height_m=2.0, tilt_down_rad=math.radians(20.0))
 DEFAULT_POSES = (RADAR_A_POSE, RADAR_B_POSE)
@@ -100,6 +101,15 @@ def check_dbscan_args(eps: float, min_pts: int) -> None:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
+
+
+def check_radar_ids(radar_ids) -> None:
+    """Reject a radar id with no mount in ``DEFAULT_POSES`` or one given twice, naming it."""
+    for i, rid in enumerate(radar_ids):
+        if not 0 <= rid < len(DEFAULT_POSES):
+            raise ValueError(f"radar id {rid} has no pose; the poses cover radar ids 0 to {len(DEFAULT_POSES) - 1}")
+        if rid in radar_ids[:i]:
+            raise ValueError(f"radar id {rid} is repeated in radar_ids {tuple(radar_ids)}")
 
 
 def align_streams(ta, tb, window_ms: float) -> list[tuple[int, int]]:
@@ -265,7 +275,6 @@ DEFAULT_MIN_PTS = 3
 
 def fuse_records(
     records: list[dict],
-    poses=DEFAULT_POSES,
     radar_ids=(0, 1),
     window_ms: float = DEFAULT_WINDOW_MS,
     eps: float = DEFAULT_EPS_M,
@@ -275,23 +284,20 @@ def fuse_records(
 
     Each fused record comes from a group of raw records: one radar frame
     when one id is given, a timestamp-aligned pair of frames when two are.
-    The group's points are moved to the world frame, merged and denoised;
-    the record takes the group's integer mean ``t_ms``, the first record's
+    Each record's points are moved to the world frame by its radar's mount,
+    ``DEFAULT_POSES[radar_id]``; the group's points are merged and denoised.
+    The record takes the group's integer mean ``t_ms``, the first record's
     frame id and labels, and the lone radar id or ``FUSED_RADAR_ID``.
-    A negative or non-finite ``window_ms``, a bad ``eps`` or ``min_pts``, a
-    repeated radar id and an id with no pose in ``poses`` raise in both
-    modes, before any record is read; a point value that is not finite
-    raises, naming the frame and the radar.
+    A negative or non-finite ``window_ms``, a bad ``eps`` or ``min_pts``, and
+    a radar id that :func:`check_radar_ids` refuses raise in both modes,
+    before any record is read; a point value that is not finite raises,
+    naming the frame and the radar.
     """
     check_window_ms(window_ms)
     check_dbscan_args(eps, min_pts)
     if len(radar_ids) not in (1, 2):
         raise ValueError("radar_ids must name one or two radars")
-    for i, rid in enumerate(radar_ids):
-        if not 0 <= rid < len(poses):
-            raise ValueError(f"radar id {rid} has no pose; the poses cover radar ids 0 to {len(poses) - 1}")
-        if rid in radar_ids[:i]:
-            raise ValueError(f"radar id {rid} is repeated in radar_ids {tuple(radar_ids)}")
+    check_radar_ids(radar_ids)
     streams = {
         rid: sorted((r for r in records if r["radar_id"] == rid), key=lambda r: (r["t_ms"], r["frame_id"]))
         for rid in radar_ids
@@ -306,7 +312,7 @@ def fuse_records(
         groups = [(rec,) for rec in streams[radar_id]]
     fused = []
     for group in groups:
-        pts = np.vstack([_transform_record_points(rec, poses[rec["radar_id"]]) for rec in group])
+        pts = np.vstack([_transform_record_points(rec, DEFAULT_POSES[rec["radar_id"]]) for rec in group])
         if len(pts):
             pts = pts[dbscan(pts[:, :3], eps, min_pts) != -1]
         src = group[0]

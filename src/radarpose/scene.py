@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fmcw import detect_points, detections_to_points, synthesize_frame
 from .physics import ChirpConfig, require_count
-from .pointcloud import DEFAULT_POSES, RadarPose, rotate_to_radar, transform_to_radar
+from .pointcloud import DEFAULT_POSES, RadarPose, check_radar_ids, rotate_to_radar, transform_to_radar
 from .records import make_record, write_jsonl
 
 ACTIONS = ("walk_toward", "walk_away", "swing_right", "swing_left")
@@ -66,7 +66,8 @@ N_JOINTS = len(JOINT_NAMES)
 BONES = tuple((JOINT_PARENT[c], c) for c in JOINT_NAMES if JOINT_PARENT[c] is not None)
 
 #: One length per symmetric bone class [m]; left/right share a value so the
-#: rest pose mirrors exactly.
+#: rest pose mirrors exactly. Subject ``s`` has these lengths times
+#: ``1 + 0.08 * (s % 4)``: subjects cycle through four bodies.
 DEFAULT_BONE_LENGTHS = {
     "pelvis_spine": 0.15,
     "spine": 0.20,
@@ -210,7 +211,6 @@ class MotionConfig:
     fps: float = 20.0
     duration_s: float = 3.0
     walk_speed: float = 0.5  # [m/s]
-    bone_lengths: dict = field(default_factory=lambda: dict(DEFAULT_BONE_LENGTHS))
     seed: int = 0
 
     def __post_init__(self):
@@ -221,7 +221,6 @@ class MotionConfig:
         if not (math.isfinite(self.walk_speed) and self.walk_speed >= 0):
             raise ValueError(f"walk_speed must be finite and >= 0, got {self.walk_speed!r}")
         self.seed = require_count("seed", self.seed, 0)
-        _template_table(_lengths_key(self.bone_lengths))  # checks every bone length by name
 
 
 def bone_lengths_of(joints: np.ndarray) -> np.ndarray:
@@ -242,28 +241,16 @@ def swing_state_of(joints: np.ndarray) -> str:
     return "left" if left >= right else "right"
 
 
-def _lengths_key(bone_lengths: dict | None) -> tuple:
-    return tuple(bone_lengths.items()) if bone_lengths else ()
-
-
-@functools.lru_cache(maxsize=64)
-def _template_table(lengths_key: tuple) -> tuple[np.ndarray, tuple]:
-    """The rest pose with its pelvis at depth 0, and each joint's (parent, depth step).
+@functools.lru_cache(maxsize=4)
+def _template_table(body: int) -> tuple[np.ndarray, tuple]:
+    """Body ``body``'s rest pose with its pelvis at depth 0, and each joint's (parent, depth step).
 
     Each joint is its parent plus its bone offset. Only the depth column
     depends on the pelvis depth, so ``_rest_joints`` redoes that chain of
     adds per call and keeps this pose's lateral and height columns.
-    ``lengths_key`` holds (bone class, length) pairs that override the
-    defaults. An unknown bone class, or a length that is not finite and
-    > 0, raises, naming the bone class.
     """
-    lengths = dict(DEFAULT_BONE_LENGTHS)
-    for key, val in lengths_key:
-        if key not in DEFAULT_BONE_LENGTHS:
-            raise ValueError(f"unknown bone length {key!r}; expected one of {tuple(DEFAULT_BONE_LENGTHS)}")
-        if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"bone length {key!r} must be finite and > 0, got {val!r}")
-        lengths[key] = val
+    scale = 1.0 + 0.08 * body
+    lengths = {key: val * scale for key, val in DEFAULT_BONE_LENGTHS.items()}
     joints = np.zeros((N_JOINTS, 3))
     joints[JOINT_INDEX["pelvis"]] = [0.0, 0.0, lengths["thigh"] + lengths["shin"] + ANKLE_CLEARANCE]
     depth_steps = []
@@ -273,13 +260,13 @@ def _template_table(lengths_key: tuple) -> tuple[np.ndarray, tuple]:
         offset = lengths[key] * d
         joints[JOINT_INDEX[child]] = joints[parent] + offset
         depth_steps.append((parent, float(offset[1])))
-    joints.flags.writeable = False  # shared by every caller with these lengths
+    joints.flags.writeable = False  # shared by every caller with this body
     return joints, tuple(depth_steps)
 
 
-def _rest_joints(bone_lengths: dict | None, pelvis_depth: float) -> np.ndarray:
+def _rest_joints(subject: int, pelvis_depth: float) -> np.ndarray:
     """(32, 3) rest pose: the same parent-plus-offset adds as a per-joint loop."""
-    joints, depth_steps = _template_table(_lengths_key(bone_lengths))
+    joints, depth_steps = _template_table(subject % 4)
     depths = [pelvis_depth]
     for parent, step in depth_steps:
         depths.append(depths[parent] + step)
@@ -288,13 +275,9 @@ def _rest_joints(bone_lengths: dict | None, pelvis_depth: float) -> np.ndarray:
     return joints
 
 
-def skeleton_template(bone_lengths: dict | None = None, pelvis_depth: float = REST_DEPTH) -> SkeletonFrame:
-    """Upright neutral rest pose (arms hanging) at the given pelvis depth.
-
-    ``bone_lengths`` overrides some of :data:`DEFAULT_BONE_LENGTHS`; an
-    unknown bone class or a length that is not finite and > 0 raises.
-    """
-    return SkeletonFrame(joints=_rest_joints(bone_lengths, pelvis_depth), action="walk_toward", swing_state="none")
+def skeleton_template(subject: int = 0, pelvis_depth: float = REST_DEPTH) -> SkeletonFrame:
+    """Subject ``subject``'s upright neutral rest pose (arms hanging) at the given pelvis depth."""
+    return SkeletonFrame(joints=_rest_joints(subject, pelvis_depth), subject_id=subject)
 
 
 def _rot_x(angle: float) -> np.ndarray:
@@ -327,8 +310,8 @@ def _sequence_params(seed: int) -> tuple[float, float]:
     return float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(-0.2, 0.2))
 
 
-def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
-    """Skeleton pose of one action at time ``t`` [s]. Pure in (action, t, cfg)."""
+def pose_at(action: str, t: float, cfg: MotionConfig, subject: int = 0) -> SkeletonFrame:
+    """Subject ``subject``'s pose in one action at time ``t`` [s]. Pure in its arguments."""
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
     gait_phase, lateral_x = _sequence_params(cfg.seed)
@@ -340,7 +323,7 @@ def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
     else:
         depth = REST_DEPTH
 
-    joints = _rest_joints(cfg.bone_lengths, depth)
+    joints = _rest_joints(subject, depth)
     joints[:, 0] += lateral_x
 
     if action in ("walk_toward", "walk_away"):
@@ -360,16 +343,17 @@ def pose_at(action: str, t: float, cfg: MotionConfig) -> SkeletonFrame:
         joints=joints,
         timestamp_ms=int(round(t * 1000.0)),
         action=action,
+        subject_id=subject,
         swing_state=swing_state_of(joints),
     )
 
 
-def joint_velocities(action: str, t: float, cfg: MotionConfig) -> np.ndarray:
+def joint_velocities(action: str, t: float, cfg: MotionConfig, subject: int = 0) -> np.ndarray:
     """(32, 3) world-frame joint velocities by central finite difference."""
     h = 1e-3  # half the difference step [s]
     t0 = max(t, h)  # stay inside the motion's defined time range
-    before = pose_at(action, t0 - h, cfg).joints
-    after = pose_at(action, t0 + h, cfg).joints
+    before = pose_at(action, t0 - h, cfg, subject).joints
+    after = pose_at(action, t0 + h, cfg, subject).joints
     return (after - before) / (2.0 * h)
 
 
@@ -411,11 +395,6 @@ def reflectors_from_skeleton(
     return out
 
 
-def _subject_lengths(base: dict, subject: int) -> dict:
-    scale = 1.0 + 0.08 * (subject % 4)
-    return {k: v * scale for k, v in base.items()}
-
-
 def _noise_seed(seed: int, frame_id: int, radar_id: int) -> int:
     return (seed * 1_000_003 + frame_id) * 2 + radar_id
 
@@ -430,7 +409,7 @@ DATASET_NOISE_STD = 0.3
 def generate_dataset(
     actions,
     cfg: MotionConfig,
-    radar_poses=DEFAULT_POSES,
+    radar_ids=tuple(range(len(DEFAULT_POSES))),
     chirp_cfg: ChirpConfig | None = None,
     out_path=None,
     n_frames: int | None = None,
@@ -440,12 +419,17 @@ def generate_dataset(
 ) -> list[dict]:
     """Render a full dataset: poses -> reflectors -> IF frames -> points.
 
-    Emits one record per (frame, radar) in frame order. ``n_frames`` caps the
-    total frame count by cycling (action, subject) sequences of
+    Emits one record per (frame, radar) in frame order, the radars in
+    ``radar_ids`` order. A record's ``subject`` fixes its body (see
+    :data:`DEFAULT_BONE_LENGTHS`); its ``radar_id`` fixes its mount,
+    ``DEFAULT_POSES[radar_id]``, and seeds its receiver noise, so one radar's
+    records do not depend on which other radars are rendered. ``n_frames``
+    caps the total frame count by cycling (action, subject) sequences of
     ``duration_s * fps`` frames each; without it, one sequence per combination
     is produced. Deterministic for a fixed configuration and seed; when
     ``out_path`` is given the records are also written there as JSON Lines.
-    ``n_frames`` and ``density`` must be integers >= 1.
+    ``n_frames`` and ``density`` must be integers >= 1, and each subject
+    an integer >= 0; radar ids are checked as :func:`fuse_records` checks them.
     """
     if n_frames is not None:
         require_count("n_frames", n_frames, 1)
@@ -453,11 +437,12 @@ def generate_dataset(
     actions = list(actions)
     if not actions:
         raise ValueError("need at least one action")
-    subjects = list(subjects)
+    subjects = [require_count("subject", s, 0) for s in subjects]
     if not subjects:
         raise ValueError("subjects is empty; need at least one subject")
-    if len(radar_poses) < 1:
-        raise ValueError("need at least one radar pose")
+    if not radar_ids:
+        raise ValueError("radar_ids is empty; need at least one radar")
+    check_radar_ids(radar_ids)
     if chirp_cfg is None:
         chirp_cfg = ChirpConfig(noise_std=DATASET_NOISE_STD)
 
@@ -471,20 +456,16 @@ def generate_dataset(
     seq_idx = 0
     while frame_id < total:
         action, subject = combos[seq_idx % len(combos)]
-        seq_cfg = replace(
-            cfg,
-            bone_lengths=_subject_lengths(cfg.bone_lengths, subject),
-            seed=cfg.seed * 100_003 + seq_idx,
-        )
+        seq_cfg = replace(cfg, seed=cfg.seed * 100_003 + seq_idx)
         for f in range(frames_per_seq):
             if frame_id >= total:
                 break
             t = f / cfg.fps
-            pose = pose_at(action, t, seq_cfg)
-            vels = joint_velocities(action, t, seq_cfg)
+            pose = pose_at(action, t, seq_cfg, subject)
+            vels = joint_velocities(action, t, seq_cfg, subject)
             t_ms = int(round(frame_id * frame_ms))
-            for radar_id, radar_pose in enumerate(radar_poses):
-                reflectors = reflectors_from_skeleton(pose, density, radar_pose, vels)
+            for radar_id in radar_ids:
+                reflectors = reflectors_from_skeleton(pose, density, DEFAULT_POSES[radar_id], vels)
                 raw = synthesize_frame(reflectors, chirp_cfg, seed=_noise_seed(cfg.seed, frame_id, radar_id))
                 records.append(
                     make_record(

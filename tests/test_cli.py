@@ -59,6 +59,14 @@ def test_simulate_rejects_empty_subjects(tmp_path):
         main(["simulate", "--frames", "2", "--subjects", "", "--out", str(tmp_path / "sim.jsonl")])
 
 
+def test_simulate_rejects_a_negative_subject_and_writes_nothing(tmp_path):
+    # subject -1 used to be rendered with subject 3's body and labelled -1
+    out = tmp_path / "sim.jsonl"
+    with pytest.raises(ValueError, match="^subject must be an integer >= 0, got -1$"):
+        main(["simulate", "--frames", "2", "--subjects=0,-1", "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [
@@ -495,10 +503,10 @@ def _observe(monkeypatch, command, argv):
         monkeypatch.setattr(module, name, fake)
 
     if command == "simulate":
-        def generate(actions, motion, radar_poses, chirp_cfg, out_path, n_frames, subjects, density, threshold_db):
+        def generate(actions, motion, radar_ids, chirp_cfg, out_path, n_frames, subjects, density, threshold_db):
             seen.update(
                 actions=tuple(actions), fps=motion.fps, duration=motion.duration_s,
-                walk_speed=motion.walk_speed, seed=motion.seed, radars=len(radar_poses),
+                walk_speed=motion.walk_speed, seed=motion.seed, radars=len(radar_ids),
                 noise_std=chirp_cfg.noise_std, out=out_path, frames=n_frames,
                 subjects=tuple(subjects), density=density, threshold_db=threshold_db,
             )

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from radarpose import pointcloud
 from radarpose.pointcloud import (
     RadarPose,
     align_streams,
@@ -107,9 +109,10 @@ def random_instance(rng, n_max=200):
 # ---------------------------------------------------------------------------
 
 def _fused_rows(rows, pose, eps=0.3, min_pts=4):
-    """(N, 5) points the single-radar fusion keeps of one record mounted at ``pose``."""
+    """(N, 5) points the single-radar fusion keeps of one record from a radar mounted at ``pose``."""
     rec = make_record(0, 0, 0, rows, [[0.0, 0.0, 0.0]] * 32, "walk_toward", 0, "none")
-    (fused,) = fuse_records([rec], poses=(pose,), radar_ids=(0,), eps=eps, min_pts=min_pts)
+    with mock.patch.object(pointcloud, "DEFAULT_POSES", (pose,)):
+        (fused,) = fuse_records([rec], radar_ids=(0,), eps=eps, min_pts=min_pts)
     return np.array(fused["points"]).reshape(-1, 5)
 
 

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from radarpose.physics import ChirpConfig
-from radarpose.pointcloud import RADAR_A_POSE, RADAR_B_POSE, RadarPose, rotate_to_radar, transform_to_radar
+from radarpose.pointcloud import (
+    RADAR_A_POSE,
+    RADAR_B_POSE,
+    RadarPose,
+    fuse_records,
+    rotate_to_radar,
+    transform_to_radar,
+)
 from radarpose.records import read_jsonl
 from radarpose.scene import (
     ACTIONS,
@@ -24,7 +31,6 @@ from radarpose.scene import (
     joint_velocities,
     _BONE_SPEC,
     _bone_gain,
-    _subject_lengths,
     pose_at,
     reflectors_from_skeleton,
     skeleton_template,
@@ -57,17 +63,12 @@ def test_template_upright_ordering():
 
 def test_template_height_is_sum_of_segments():
     lengths = dict(DEFAULT_BONE_LENGTHS)
-    frame = skeleton_template(lengths)
+    frame = skeleton_template(0)
     expected = sum(
         lengths[k] for k in ("thigh", "shin", "pelvis_spine", "spine", "chest_neck", "neck_head")
     )
     height = frame.joint("head")[2] - frame.joint("ankle_left")[2]
     assert height == pytest.approx(expected, abs=1e-12)
-
-
-def test_template_rejects_nonpositive_length():
-    with pytest.raises(ValueError):
-        skeleton_template({"thigh": 0.0})
 
 
 def _template_per_call(lengths, depth):
@@ -84,29 +85,14 @@ def _template_per_call(lengths, depth):
 
 @pytest.mark.parametrize("subject", [0, 1, 2, 3])
 def test_template_is_bitwise_the_per_call_normalization(subject):
-    # subject 0 keeps the default lengths, which no lengths at all also give
-    lengths = _subject_lengths(DEFAULT_BONE_LENGTHS, subject)
+    # subject s has the default lengths times 1 + 0.08 * (s % 4), as subject s + 4 does
+    scale = 1.0 + 0.08 * (subject % 4)
+    lengths = {k: v * scale for k, v in DEFAULT_BONE_LENGTHS.items()}
     for depth in (DEPTH_MIN, 2.0345678901234, REST_DEPTH, DEPTH_MAX):
-        for bone_lengths in (lengths, None) if subject == 0 else (lengths,):
-            for _ in range(2):  # the first call may fill the per-lengths cache, the second reads it
-                got = skeleton_template(bone_lengths, pelvis_depth=depth).joints
+        for s in (subject, subject + 4):
+            for _ in range(2):  # the first call may fill the per-body cache, the second reads it
+                got = skeleton_template(s, pelvis_depth=depth).joints
                 assert got.tobytes() == _template_per_call(lengths, depth).tobytes()
-
-
-@pytest.mark.parametrize(
-    "bone_lengths, match",
-    [
-        ({"femur": 0.4}, "^unknown bone length 'femur'"),
-        ({"thigh": math.nan}, "^bone length 'thigh' must be finite and > 0, got nan"),
-        ({"shin": math.inf}, "^bone length 'shin' must be finite and > 0, got inf"),
-        ({"spine": -0.2}, "^bone length 'spine' must be finite and > 0"),
-    ],
-)
-def test_bad_bone_lengths_are_rejected_by_key(bone_lengths, match):
-    with pytest.raises(ValueError, match=match):
-        skeleton_template(bone_lengths)
-    with pytest.raises(ValueError, match=match):
-        MotionConfig(bone_lengths=bone_lengths)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
@@ -186,10 +172,12 @@ def test_swing_state_matches_geometric_predicate_everywhere():
 
 def test_bone_lengths_conserved_during_motion():
     cfg = MotionConfig(seed=5)
-    ref = bone_lengths_of(skeleton_template(cfg.bone_lengths).joints)
-    for action in ACTIONS:
-        got = bone_lengths_of(pose_at(action, 0.37, cfg).joints)
-        np.testing.assert_allclose(got, ref, atol=1e-9)
+    refs = [bone_lengths_of(skeleton_template(subject).joints) for subject in range(4)]
+    assert all(np.all(a < b) for a, b in zip(refs, refs[1:]))  # each body has its own lengths
+    for subject, ref in enumerate(refs):
+        for action in ACTIONS:
+            got = bone_lengths_of(pose_at(action, 0.37, cfg, subject=subject).joints)
+            np.testing.assert_allclose(got, ref, atol=1e-9)
 
 
 def test_pose_at_rejects_unknown_action():
@@ -264,12 +252,24 @@ def test_walking_toward_radar_has_negative_mean_range_rate():
 
 def test_generate_dataset_counts(tmp_path):
     cfg = MotionConfig(fps=10.0, duration_s=1.0, seed=1)
-    records = generate_dataset(
-        ["walk_toward"], cfg, radar_poses=(RADAR_A_POSE,), out_path=tmp_path / "d.jsonl"
-    )
+    records = generate_dataset(["walk_toward"], cfg, radar_ids=(0,), out_path=tmp_path / "d.jsonl")
     assert len(records) == 10
     assert [r["frame_id"] for r in records] == list(range(10))
     assert read_jsonl(tmp_path / "d.jsonl") == records
+
+
+def test_generate_dataset_renders_radars_by_id():
+    # radar 1 alone used to be stamped radar 0, drawn with radar 0's noise and fused with radar 0's mount
+    cfg = MotionConfig(fps=5.0, duration_s=1.0, seed=2)
+    both = generate_dataset(["walk_away", "swing_left"], cfg, n_frames=6, subjects=(0, 3))
+    only_b = generate_dataset(["walk_away", "swing_left"], cfg, radar_ids=(1,), n_frames=6, subjects=(0, 3))
+    assert only_b == [r for r in both if r["radar_id"] == 1]
+    assert sum(len(r["points"]) for r in only_b) > 0
+    assert fuse_records(only_b, radar_ids=(1,)) == fuse_records(both, radar_ids=(1,))
+    for radar_ids, message in (((0, 0), r"^radar id 0 is repeated in radar_ids \(0, 0\)$"),
+                               ((2,), r"^radar id 2 has no pose; the poses cover radar ids 0 to 1$")):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(["walk_away"], cfg, radar_ids=radar_ids, n_frames=1)
 
 
 def test_generate_dataset_one_record_per_radar():
@@ -300,7 +300,7 @@ def test_generate_dataset_n_frames_cap_and_subjects():
 
 def test_generated_depths_inside_window():
     cfg = MotionConfig(fps=5.0, duration_s=2.0, walk_speed=1.5, seed=6)
-    records = generate_dataset(list(ACTIONS), cfg, radar_poses=(RADAR_A_POSE,))
+    records = generate_dataset(list(ACTIONS), cfg, radar_ids=(0,))
     pelvis_idx = JOINT_INDEX["pelvis"]
     for rec in records:
         assert 1.9 - 1e-9 <= rec["gt"][pelvis_idx][1] <= 3.5 + 1e-9
