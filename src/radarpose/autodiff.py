@@ -3,9 +3,9 @@
 A small tape: every operation records its parents and a closure that routes
 the upstream gradient. Exactly the ops the skeleton-regression networks
 need are provided (dense/batched matmul, broadcast add/mul, ReLU, reshape,
-concat, row gather, segment max over rows, same-padded conv2d, 2x2-style max
-pooling, mean), plus ``dense``: a whole dense layer, product, bias and
-optional ReLU, as one node.
+concat, row gather, image row repeat, segment max over rows, same-padded
+conv2d, 2x2-style max pooling, mean), plus ``dense``: a whole dense layer,
+product, bias and optional ReLU, as one node.
 
 Conventions that the gradient checks rely on:
   * everything is float64
@@ -196,6 +196,21 @@ def gather_rows(t: Tensor, rows: np.ndarray) -> Tensor:
         return (full.reshape(t.shape),)
 
     return _node(t.data.reshape(-1, width)[rows], (t,), backward)
+
+
+def repeat_rows(t: Tensor, counts: np.ndarray) -> Tensor:
+    """Row ``i`` of an image batch ``counts[i]`` times: (B, C, H, W) -> (B, C, counts.sum(), W).
+
+    The gradient of a row is the sum of its copies' gradients, added in row
+    order; a row copied once gets its copy's gradient as is.
+    """
+    t = _as_tensor(t)
+    starts = np.cumsum(counts) - counts
+
+    def backward(g):
+        return (np.add.reduceat(g, starts, axis=2),)
+
+    return _node(np.repeat(t.data, counts, axis=2), (t,), backward)
 
 
 def amax(t: Tensor, starts: np.ndarray) -> Tensor:

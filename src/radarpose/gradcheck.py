@@ -9,12 +9,12 @@ gradient against (f(p+h) - f(p-h)) / 2h. An element passes when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model
-from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse
+from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse, repeat_rows
 from .model import ModelConfig, init_params
 from .scene import JOINT_NAMES
 
@@ -149,6 +149,11 @@ def layer_checks(seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[CheckR
             lambda ts: mse(dense(ts["x"], ts["w"], ts["b"], relu=False), t_dense),
             {"x": rng.normal(size=(2, 4)), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=(5,))},
         ),
+        (
+            "row_repeat",
+            lambda ts: mse(repeat_rows(ts["x"], np.array([1, 3, 1])), ts["y"]),  # the middle row 3 times
+            {"x": rng.normal(size=(2, 2, 3, 2)), "y": rng.normal(size=(2, 2, 5, 2))},
+        ),
     ]
     return [check_function(name, build, arrays, rtol, atol) for name, build, arrays in cases]
 
@@ -170,11 +175,12 @@ def toy_config(variant: str, seed: int) -> ModelConfig:
     )
 
 
-def variant_inputs(cfg: ModelConfig, rng, batch: int = 3) -> dict:
+def variant_inputs(cfg: ModelConfig, rng, batch: int = 3, rows: int | None = None) -> dict:
     """Random inputs for each branch, zero-padded like packed frames: example i
-    keeps ``(n_max, n_max // 2, 0)[i % 3]`` rows, so a batch of 3 holds a full,
-    a partly padded and an all-padding example."""
-    valid = np.array([(cfg.n_max, cfg.n_max // 2, 0)[i % 3] for i in range(batch)])
+    keeps ``(rows, rows // 2, 0)[i % 3]`` rows, ``rows`` n_max by default, so a
+    batch of 3 holds a full, a partly padded and an all-padding example."""
+    rows = cfg.n_max if rows is None else rows
+    valid = np.array([(rows, rows // 2, 0)[i % 3] for i in range(batch)])
     padding = np.arange(cfg.n_max) >= valid[:, None]
     inputs = {}
     for br in cfg.branches:
@@ -183,15 +189,18 @@ def variant_inputs(cfg: ModelConfig, rng, batch: int = 3) -> dict:
     return inputs
 
 
-def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, h=DEFAULT_H) -> CheckResult:
-    """Finite-difference check of every parameter of one full variant."""
-    cfg = toy_config(variant, seed)
+def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, h=DEFAULT_H,
+                  n_max: int = 8, rows: int | None = None) -> CheckResult:
+    """Finite-difference check of every parameter of one full variant, at toy
+    size with ``n_max`` rows per view, of which the examples hold at most
+    ``rows`` (all by default)."""
+    cfg = replace(toy_config(variant, seed), n_max=n_max)
     mp = init_params(cfg)
     # the TNet output weights start at zero; jitter them so the check
     # exercises a generic point of the loss surface
     rng = np.random.default_rng(seed + 1)
     mp.flat += 0.05 * rng.normal(size=mp.flat.size)
-    inputs = model._prepare_inputs(cfg, variant_inputs(cfg, rng))
+    inputs = model._prepare_inputs(cfg, variant_inputs(cfg, rng, rows=rows))
     gt = rng.uniform(0, 1, size=(3, cfg.output_width))
     return check_function(
         f"variant:{variant}",
@@ -204,7 +213,8 @@ def check_variant(variant: str, seed: int, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
 
 def run_gradient_checks(seeds=(0, 1, 2), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[CheckResult]:
-    """The full battery: layer primitives and all variants over the seeds."""
+    """The full battery: layer primitives and all variants over the seeds, plus
+    a dual_cnn whose conv stack runs on a cut image."""
     results = []
     for seed in seeds:
         for res in layer_checks(seed, rtol, atol):
@@ -214,4 +224,8 @@ def run_gradient_checks(seeds=(0, 1, 2), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -
             res = check_variant(variant, seed, rtol, atol)
             res.name = f"{res.name}[seed={seed}]"
             results.append(res)
+        # 8 of 32 rows: the conv stack runs on 20 rows and repeats one output row 4 times
+        res = check_variant("dual_cnn", seed, rtol, atol, n_max=32, rows=8)
+        res.name = f"{res.name}-cut[seed={seed}]"
+        results.append(res)
     return results

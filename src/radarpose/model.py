@@ -18,6 +18,18 @@ the views, and Adam updates it in place together with two flat moment
 vectors. There is no flat gradient vector: Adam reads each parameter's
 gradient where :func:`backward` left it.
 
+``dual_cnn`` runs each branch's conv/pool stack on a cropped image: past the
+batch's last non-zero row the image rows are zero, so the stack's output rows
+that read only those rows, and no padding, are equal bit for bit. The stack
+keeps one of them and a repeat node copies it over the rest
+(:func:`_image_cut`). The forward stays bitwise the padded image's; the
+backward sums the cut rows' gradients into the kept one, which reorders the
+conv weight and bias gradient sums (and the TNet product's, over fewer zero
+rows) within 1e-15 of each parameter's largest gradient. Adam folds its two
+bias corrections into one step size and one epsilon per step
+(:func:`_adam_step`): the moments stay bitwise, the parameters move by
+rounding only, within 7.4e-14*lr per step of the per-array form.
+
 Inference (:func:`forward`, :func:`predict_batch`, :func:`tnet_forward`)
 runs the training graph inside ``autodiff.no_tape``, so it builds no tape
 and frees each layer's output once the next layer has read it; its outputs
@@ -39,7 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse, no_tape
+from .autodiff import Tensor, amax, concat, conv2d, dense, gather_rows, maxpool2d, mse, no_tape, repeat_rows
 from .physics import require_count
 from .pointcloud import FusedFrame, build_cloud, build_views
 from .scene import DEFAULT_EXCLUDED_JOINTS, JOINT_INDEX, JOINT_NAMES, N_JOINTS
@@ -257,8 +269,46 @@ def _kept_rows(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(keep), np.cumsum(counts) - counts
 
 
+def _image_cut(cfg: ModelConfig, view: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rows of a (B, n_max, 4) batch of views that the conv stack runs on,
+    and how often each row of its output stands in the full output.
+
+    With P the product of the pools, output row j of the stack reads image
+    rows j*P - r to (j+1)*P - 1 + r, r the stack's reach. Rows past the
+    batch's last non-zero row are zero, so every output row whose reach lies
+    there and meets neither edge's padding at any stage computes bitwise the
+    same values. Of that run of rows the stack keeps the first: the image is
+    cropped above the next block of P rows and joined to the bottom blocks from
+    the run's last one on. Those blocks hold zero rows too, so the crop is the
+    view's first ``height`` rows, and ``counts`` repeats the kept row's output
+    over the cut run. It is 1 everywhere when nothing is cut.
+
+    A batch whose crop holds fewer rows than one uncut view is not cut: its
+    products could fall below the size at which the BLAS switches to another
+    kernel (OpenBLAS's small-matrix kernel rounds differently), and its
+    forward would no longer be bitwise the uncut one.
+    """
+    n = cfg.n_max
+    scale, reach = 1, 0
+    for _channels, kernel, pool in cfg.conv_spec:
+        reach += kernel // 2 * scale
+        scale *= pool
+    used = np.flatnonzero(view.any(axis=(0, 2)))  # -0.0 counts as zero
+    m = int(used[-1]) + 1 if used.size else 0
+    first = -(-(m + reach) // scale)  # the first block that reads only zero rows
+    # blocks from (n - reach) // scale on read the image's bottom padding. A
+    # later stage's input drops the image's last n % s rows (s its row scale),
+    # but every reach below it is a multiple of s: its padding comes no sooner
+    cut = max((n - reach) // scale - 1 - first, 0)
+    if len(view) * (n - cut * scale) < n:
+        cut = 0
+    counts = np.ones(n // scale - cut, dtype=np.intp)
+    counts[first : first + 1] += cut
+    return n - cut * scale, counts
+
+
 def _tnet_graph(view: Tensor, rows: np.ndarray, starts: np.ndarray, pt: dict, cfg: ModelConfig, prefix: str):
-    """(B, N, D) view and its kept rows -> (transformed (B, N, D), transform (B, D, D))."""
+    """(B, N, D) view and its kept rows -> the (B, D, D) transforms."""
     dim = cfg.tnet_dim
     h = Tensor(view.data.reshape(-1, dim)[rows])
     for i in range(len(cfg.tnet_row_spec)):
@@ -267,23 +317,23 @@ def _tnet_graph(view: Tensor, rows: np.ndarray, starts: np.ndarray, pt: dict, cf
     for i in range(len(cfg.tnet_head_spec)):
         pooled = dense(pooled, pt[f"{prefix}.head{i}.w"], pt[f"{prefix}.head{i}.b"], relu=True)
     tvals = dense(pooled, pt[f"{prefix}.out.w"], pt[f"{prefix}.out.b"], relu=False)
-    transform = tvals.reshape((-1, dim, dim))
-    return view @ transform, transform
+    return tvals.reshape((-1, dim, dim))
 
 
 def _branch_graph(view: Tensor, pt: dict, cfg: ModelConfig, br: str) -> Tensor:
     """One branch's features (B, C): the TNet, then the conv stack on the view as
     an image (dual_cnn), or the shared row MLP on the kept rows and each example's max."""
     rows, starts = _kept_rows(view.data)
-    h, _ = _tnet_graph(view, rows, starts, pt, cfg, f"{br}.tnet")
+    transform = _tnet_graph(view, rows, starts, pt, cfg, f"{br}.tnet")
     if cfg.variant == "dual_cnn":
         batch = view.shape[0]
-        img = h.reshape((batch, 1, cfg.n_max, 4))
+        height, counts = _image_cut(cfg, view.data)
+        img = (Tensor(view.data[:, :height]) @ transform).reshape((batch, 1, height, 4))
         for i, (_channels, _kernel, pool) in enumerate(cfg.conv_spec):
             img = conv2d(img, pt[f"{br}.conv{i}.w"], pt[f"{br}.conv{i}.b"]).relu()
             img = maxpool2d(img, pool)
-        return img.reshape((batch, _conv_flat_size(cfg)))
-    h = gather_rows(h, rows)
+        return repeat_rows(img, counts).reshape((batch, _conv_flat_size(cfg)))
+    h = gather_rows(view @ transform, rows)
     for name, _width in _row_layers(cfg, br):
         h = dense(h, pt[f"{name}.w"], pt[f"{name}.b"], relu=True)
     return amax(h, starts)
@@ -332,8 +382,9 @@ def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = Non
         raise ValueError(f"tnet_forward takes (B, N, {cfg.tnet_dim}) views, got {view.shape}")
     pt = _wrap_params(params.params)
     with no_tape():
-        out, transform = _tnet_graph(Tensor(view), *_kept_rows(view), pt, cfg, f"{branch}.tnet")
-    return out.data, transform.data
+        view = Tensor(view)
+        transform = _tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{branch}.tnet")
+        return (view @ transform).data, transform.data
 
 
 def forward(params: ModelParams, inputs: Mapping) -> np.ndarray:
@@ -465,7 +516,7 @@ def target_bounds(cfg: ModelConfig, gt: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 #: values per block of the Adam update: the six block-sized slices one block
 #: touches (p, g, m, v and two scratch) take 1.5 MB, which stays in a 2 MB
-#: per-core L2 cache across the update's 14 passes
+#: per-core L2 cache across the update's 12 passes
 ADAM_BLOCK = 32768
 
 
@@ -474,18 +525,26 @@ def _adam_step(p: np.ndarray, grads: list, state: tuple, lr: float, t: int):
 
     ``grads`` holds each parameter's gradient as ``backward`` left it, in
     :func:`param_layout` order, so that together they cover ``p``. ``state``
-    is (m, v), both moments shaped like ``p``. The ops run in the order of
-    the per-array form
+    is (m, v), both moments shaped like ``p``. The bias corrections are folded
+    into one step size and one epsilon per step (the paper's Sec. 2 order):
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        a = lr * sqrt(1-b2**t) / (1-b1**t);  e = eps * sqrt(1-b2**t)
+        p = p - a*m / (sqrt(v) + e)
 
-    so every value is bitwise equal to it, without its temporaries. They run
+    This is ``p - lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)`` rounded
+    differently: 12 passes and one division where that form takes 14 and
+    three. The moments are bitwise those of the per-array form. Given the
+    same gradients, one step's parameters stay within 7.4e-14*lr of it; over
+    30 overfit-shape training steps, where the gradients follow the
+    parameters, within 3.2e-11*lr (all three variants). The ops run
     on one block of ``ADAM_BLOCK`` values at a time, with two block-sized
     scratch arrays. A block inside one gradient reads it in place; a block
     that spans several is first copied into a third scratch array.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    root = math.sqrt(1 - beta2**t)
+    step_size, eps_t = lr * root / (1 - beta1**t), eps * root
     m, v = state
     size = p.size
     scratch, scratch2, gather = (np.empty(min(size, ADAM_BLOCK)) for _ in range(3))
@@ -516,11 +575,9 @@ def _adam_step(p: np.ndarray, grads: list, state: tuple, lr: float, t: int):
         np.multiply(gb, 1 - beta2, out=work)
         work *= gb
         vb += work
-        np.divide(mb, 1 - beta1**t, out=work)
-        np.divide(vb, 1 - beta2**t, out=work2)
-        np.sqrt(work2, out=work2)
-        work2 += eps
-        work *= lr
+        np.sqrt(vb, out=work2)
+        work2 += eps_t
+        np.multiply(mb, step_size, out=work)
         work /= work2
         pb -= work
 
@@ -585,6 +642,7 @@ def train(cfg: ModelConfig, examples: ExampleSet, hyper: Hyper):
                     f"loss {loss}, squared gradient norm {sq_norm}"
                 )
             _adam_step(mp.flat, grads, state, lr, step)
+            del named, grads  # else this step's gradients stay alive through the next backward
             total += loss * len(idx)
             count += len(idx)
         train_loss = total / count

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .physics import require_count
 from .records import FUSED_RADAR_ID, make_record
 
 if TYPE_CHECKING:
@@ -104,10 +105,12 @@ def check_dbscan_args(eps: float, min_pts: int) -> None:
 
 
 def check_radar_ids(radar_ids) -> None:
-    """Reject a radar id with no mount in ``DEFAULT_POSES`` or one given twice, naming it."""
+    """Reject a radar id with no mount in ``DEFAULT_POSES``, one that is not an
+    integer (a float or a bool), or one given twice, naming it."""
     for i, rid in enumerate(radar_ids):
         if not 0 <= rid < len(DEFAULT_POSES):
             raise ValueError(f"radar id {rid} has no pose; the poses cover radar ids 0 to {len(DEFAULT_POSES) - 1}")
+        require_count(f"radar_ids[{i}]", rid, 0)
         if rid in radar_ids[:i]:
             raise ValueError(f"radar id {rid} is repeated in radar_ids {tuple(radar_ids)}")
 

@@ -265,8 +265,9 @@ def _template_table(body: int) -> tuple[np.ndarray, tuple]:
 
 
 def _rest_joints(subject: int, pelvis_depth: float) -> np.ndarray:
-    """(32, 3) rest pose: the same parent-plus-offset adds as a per-joint loop."""
-    joints, depth_steps = _template_table(subject % 4)
+    """(32, 3) rest pose: the same parent-plus-offset adds as a per-joint loop.
+    A subject that is not an integer >= 0 raises, naming the field."""
+    joints, depth_steps = _template_table(require_count("subject", subject, 0) % 4)
     depths = [pelvis_depth]
     for parent, step in depth_steps:
         depths.append(depths[parent] + step)
@@ -276,7 +277,8 @@ def _rest_joints(subject: int, pelvis_depth: float) -> np.ndarray:
 
 
 def skeleton_template(subject: int = 0, pelvis_depth: float = REST_DEPTH) -> SkeletonFrame:
-    """Subject ``subject``'s upright neutral rest pose (arms hanging) at the given pelvis depth."""
+    """Subject ``subject``'s upright neutral rest pose (arms hanging) at the given
+    pelvis depth. A subject that is not an integer >= 0 raises."""
     return SkeletonFrame(joints=_rest_joints(subject, pelvis_depth), subject_id=subject)
 
 
@@ -311,7 +313,8 @@ def _sequence_params(seed: int) -> tuple[float, float]:
 
 
 def pose_at(action: str, t: float, cfg: MotionConfig, subject: int = 0) -> SkeletonFrame:
-    """Subject ``subject``'s pose in one action at time ``t`` [s]. Pure in its arguments."""
+    """Subject ``subject``'s pose in one action at time ``t`` [s]. Pure in its
+    arguments; a subject that is not an integer >= 0 raises."""
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
     gait_phase, lateral_x = _sequence_params(cfg.seed)

@@ -1,8 +1,8 @@
-"""The fast narrative demos run to completion.
+"""The narrative demos run to completion.
 
-Demos 04 and 05 train models and take about 12 s each, so they stay out.
-Each demo runs with numpy's RuntimeWarning raised as an error, as in the
-test suite itself.
+Demo 04 trains dual_cnn and runs the gradient check (about 7 s). Demo 05,
+the mini ablation, trains three models and stays out. Each demo runs with
+numpy's RuntimeWarning raised as an error, as in the test suite itself.
 """
 
 import os
@@ -20,7 +20,8 @@ SRC = Path(radarpose.__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    ["01_chirp_physics.py", "02_single_target_detection.py", "03_scene_fusion_denoise.py"],
+    ["01_chirp_physics.py", "02_single_target_detection.py", "03_scene_fusion_denoise.py",
+     "04_train_and_gradcheck.py"],
 )
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)

@@ -1,8 +1,9 @@
 import base64
 import gc
 import json
+import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -445,6 +446,81 @@ def test_compacted_gradients_match_the_padded_graph(variant):
         np.testing.assert_allclose(grads[k], t.grad, rtol=0, atol=1e-12 * scale, err_msg=k)
 
 
+def _interior_rows(cfg, m):
+    """The conv stack's output rows whose reach, traced back stage by stage, lies
+    on the image rows m to n_max - 1 and meets no padding: the rows it may cut."""
+    heights = [cfg.n_max]
+    for _channels, _kernel, pool in cfg.conv_spec:
+        heights.append(heights[-1] // pool)
+    interior = []
+    for j in range(heights[-1]):
+        lo, hi, inside = j, j, True
+        for (_channels, kernel, pool), height in zip(reversed(cfg.conv_spec), reversed(heights[:-1])):
+            lo, hi = lo * pool - kernel // 2, (hi + 1) * pool - 1 + kernel // 2
+            inside = inside and lo >= 0 and hi < height
+        if inside and lo >= m:
+            interior.append(j)
+    return interior
+
+
+_TOY_CNN = toy_config("dual_cnn", seed=61)
+CUT_STACKS = {
+    "default": ModelConfig(variant="dual_cnn", seed=61),
+    "pools-3-1": replace(_TOY_CNN, n_max=47, conv_spec=((3, 3, 3), (4, 3, 1))),  # stage 2 drops 2 rows
+    "kernel-5": replace(_TOY_CNN, n_max=40, conv_spec=((3, 5, 2), (4, 3, 2))),
+    "three-stages": replace(_TOY_CNN, n_max=48, conv_spec=((2, 3, 2), (3, 3, 1), (4, 5, 2))),
+    "n_max-50": replace(_TOY_CNN, n_max=50),
+}
+
+
+@pytest.mark.parametrize("rows", ["none", "below-limit", "at-limit", "zero-row-between", "one-frame"])
+@pytest.mark.parametrize("stack", CUT_STACKS)
+def test_cut_image_is_bitwise_the_padded_graph(stack, rows, monkeypatch):
+    # the conv stack runs on fewer rows when two or more of its output rows read
+    # only trailing zero rows, unless the batch then holds fewer rows than one
+    # view; the forward stays bitwise, the gradients sum the cut run's rows in
+    # another order
+    cfg = CUT_STACKS[stack]
+    pool = math.prod(p for _channels, _kernel, p in cfg.conv_spec)
+    limit = min(m for m in range(cfg.n_max + 1) if len(_interior_rows(cfg, m)) < 2)  # from here on nothing is cut
+    m = {"none": 0, "below-limit": limit - 1, "at-limit": limit, "zero-row-between": limit - 1, "one-frame": 0}[rows]
+    batch = 1 if rows == "one-frame" else 6
+    rng = np.random.default_rng(62)
+    inputs = {}
+    for br in cfg.branches:
+        view = rng.normal(size=(batch, cfg.n_max, 4))
+        view[np.arange(cfg.n_max) >= np.array([[m], [m // 2], [0]] * 2)[:batch]] = 0.0
+        if rows == "zero-row-between":
+            view[:, m - 1 - pool : m - 1] = 0.0  # the last point still sits in row m - 1
+        inputs[br] = view
+    height = cfg.n_max - max(len(_interior_rows(cfg, m)) - 1, 0) * pool
+    if batch * height < cfg.n_max:
+        height = cfg.n_max
+    assert (height < cfg.n_max) == (rows not in ("at-limit", "one-frame"))
+    seen = []
+    monkeypatch.setattr(model_module, "conv2d", lambda x, w, b: seen.append(x.shape[2]) or conv2d(x, w, b))
+
+    mp = _trained_like(cfg, seed=63)
+    pt = model_module._wrap_params(mp.params)
+    oracle = _padded_graph(cfg, pt, model_module._prepare_inputs(cfg, inputs))
+    assert forward(mp, inputs).tobytes() == oracle.data.tobytes()
+    assert seen[:: len(cfg.conv_spec)] == [height, height]  # each branch's image
+    gt = rng.uniform(size=(batch, cfg.output_width))
+    loss, grads = backward(mp, inputs, gt)
+    ref = mse(oracle, gt)
+    ref.backward()
+    assert loss == float(ref.data)
+    for k, t in pt.items():
+        np.testing.assert_allclose(grads[k], t.grad, rtol=0, atol=1e-12 * np.abs(t.grad).max(), err_msg=k)
+
+
+def test_the_gradcheck_cut_case_runs_on_a_cut_image():
+    cfg = replace(toy_config("dual_cnn", seed=0), n_max=32)
+    inputs = variant_inputs(cfg, np.random.default_rng(1), rows=8)
+    height, counts = model_module._image_cut(cfg, inputs["xy"])
+    assert height == 20 and counts.tolist() == [1, 1, 1, 4, 1]
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -576,9 +652,10 @@ def _per_array_adam(params, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-
 
 
 def _unblocked_adam_step(p, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The flat Adam step as 14 passes over whole vectors: the reference for the blocked one."""
+    """The flat Adam step as 12 passes over whole vectors: the reference for the blocked one."""
     g = np.concatenate([g.ravel() for g in grads])
     m, v = state
+    root = np.sqrt(1 - beta2**t)
     work, work2 = np.empty_like(p), np.empty_like(p)
     m *= beta1
     np.multiply(g, 1 - beta1, out=work)
@@ -587,17 +664,18 @@ def _unblocked_adam_step(p, grads, state, lr, t, beta1=0.9, beta2=0.999, eps=1e-
     np.multiply(g, 1 - beta2, out=work)
     work *= g
     v += work
-    np.divide(m, 1 - beta1**t, out=work)
-    np.divide(v, 1 - beta2**t, out=work2)
-    np.sqrt(work2, out=work2)
-    work2 += eps
-    work *= lr
+    np.sqrt(v, out=work2)
+    work2 += eps * root
+    np.multiply(m, lr * root / (1 - beta1**t), out=work)
     work /= work2
     p -= work
 
 
-def test_flat_adam_step_is_bitwise_the_per_array_update():
-    # the toy model fits in one block; the default dual_cnn spans several and ends in a partial one
+def test_flat_adam_step_matches_the_per_array_update():
+    # the toy model fits in one block; the default dual_cnn spans several and ends in a partial one.
+    # Both updates take the same gradients: the moments stay bitwise, the folded bias corrections
+    # round the parameters differently
+    lr = 3e-3
     for cfg in (toy_config("dual_cnn", seed=19), ModelConfig(variant="dual_cnn", seed=19)):
         rng = np.random.default_rng(13)
         inputs = variant_inputs(cfg, rng, batch=4)
@@ -607,13 +685,12 @@ def test_flat_adam_step_is_bitwise_the_per_array_update():
         mp = init_params(cfg)
         state = (np.zeros_like(mp.flat), np.zeros_like(mp.flat))
         for t in (1, 2, 3):
-            _, ref_grads = backward(ref, inputs, gt)
-            _per_array_adam(ref.params, ref_grads, ref_state, 3e-3, t)
-            _, grads = backward(mp, inputs, gt)
-            _adam_step(mp.flat, [grads[k] for k in mp.params], state, 3e-3, t)
+            _, grads = backward(ref, inputs, gt)
+            _adam_step(mp.flat, [grads[k] for k in mp.params], state, lr, t)
+            _per_array_adam(ref.params, grads, ref_state, lr, t)
             assert mp.params.keys() == ref.params.keys()
             for k, p in ref.params.items():
-                assert mp.params[k].tobytes() == p.tobytes(), k
+                np.testing.assert_allclose(mp.params[k], p, rtol=0, atol=1e-12 * lr, err_msg=k)
             for i in (0, 1):
                 ref_moment = np.concatenate([ref_state[k][i].ravel() for k in ref.params])
                 assert state[i].tobytes() == ref_moment.tobytes()
@@ -630,13 +707,22 @@ def test_adam_step_refuses_gradients_that_do_not_cover_the_parameters():
 
 def test_dual_cnn_training_is_bitwise_the_reference_kernels(monkeypatch):
     """Default-size dual_cnn at batch 10, as in the overfit gate: two runs and
-    a run on the reference conv2d, maxpool2d and Adam give the same bits."""
+    a run on the reference conv2d, maxpool2d and Adam give the same bits.
+    The frames hold at most 20 and 30 rows, as packed frames do, so the conv
+    stack runs on cut images (32 and 44 of the 64 rows) and its pools see
+    all-zero windows."""
     cfg = ModelConfig(variant="dual_cnn", seed=1)
     ex = toy_examples(np.random.default_rng(41), cfg, n_frames=10)
-    for i in range(10):  # zero-padded like packed frames, so pools see all-zero windows
-        ex.view_xy[i, 6 * (i + 1) :] = 0.0
-        ex.view_yz[i, 5 * (i + 1) :] = 0.0
+    for i in range(10):
+        ex.view_xy[i, 2 * (i + 1) :] = 0.0
+        ex.view_yz[i, 3 * (i + 1) :] = 0.0
+    ex.view_xy[4, 3] = 0.0  # a zero row between points
     hyper = Hyper(lr=3e-3, batch=10, epochs=30, seed=1, val_fraction=0.0, lr_decay=0.9996)
+    heights = set()
+
+    def reference_conv2d_seen(x, w, b):
+        heights.add(x.shape[2])
+        return reference_conv2d(x, w, b)
 
     def run():
         mp, hist = train(cfg, ex, hyper)
@@ -645,13 +731,14 @@ def test_dual_cnn_training_is_bitwise_the_reference_kernels(monkeypatch):
     losses, params = run()
     assert losses[-1] < losses[0]
     second = run()
-    monkeypatch.setattr(model_module, "conv2d", reference_conv2d)
+    monkeypatch.setattr(model_module, "conv2d", reference_conv2d_seen)
     monkeypatch.setattr(model_module, "maxpool2d", reference_maxpool2d)
     monkeypatch.setattr(model_module, "_adam_step", _unblocked_adam_step)
     for other_losses, other_params in (second, run()):
         assert other_losses.tobytes() == losses.tobytes()
         for k, p in params.items():
             assert other_params[k].tobytes() == p.tobytes(), k
+    assert heights == {32, 44, 22, 16}  # each branch's two stages
 
 
 def test_train_stop_loss_cuts_history():
@@ -723,7 +810,8 @@ def test_inference_returns_the_taped_graphs_bytes(variant):
     for br in cfg.branches:
         view = inputs[br]
         out, transform = tnet_forward(view.data, mp, br)
-        ref_out, ref_transform = model_module._tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{br}.tnet")
+        ref_transform = model_module._tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{br}.tnet")
+        ref_out = view @ ref_transform
         assert ref_out._backward is not None
         assert out.tobytes() == ref_out.data.tobytes()
         assert transform.tobytes() == ref_transform.data.tobytes()

@@ -509,6 +509,16 @@ def test_fuse_records_rejects_a_repeated_or_poseless_radar_id(radar_ids, message
         fuse_records(recs, radar_ids=radar_ids, eps=0.3, min_pts=4)
 
 
+@pytest.mark.parametrize("rid", [1.0, True], ids=["float", "bool"])
+def test_fuse_records_rejects_a_radar_id_that_is_no_integer(rid):
+    # both used to fuse radar 1's stream, as if the id were 1
+    rng = np.random.default_rng(24)
+    gt = [[0.0, 2.0, 1.0]] * 32
+    recs = [make_record(0, 0, r, _blob_points([0, 2.2, 0], 10, rng), gt, "walk_toward", 0, "none") for r in (0, 1)]
+    with pytest.raises(ValueError, match=rf"^radar_ids\[0\] must be an integer >= 0, got {rid!r}$"):
+        fuse_records(recs, radar_ids=(rid,), eps=0.3, min_pts=4)
+
+
 @pytest.mark.parametrize(
     "eps, min_pts, message",
     [(0.0, 3, "^eps must be > 0$"), (math.nan, 3, "^eps must be > 0$"), (0.4, 0, "^min_pts must be >= 1$")],

@@ -272,6 +272,20 @@ def test_generate_dataset_renders_radars_by_id():
             generate_dataset(["walk_away"], cfg, radar_ids=radar_ids, n_frames=1)
 
 
+def test_generate_dataset_rejects_a_radar_id_that_is_no_integer():
+    # 1.0 used to fail with a bare TypeError from indexing the mounts
+    cfg = MotionConfig(fps=5.0, duration_s=1.0, seed=2)
+    with pytest.raises(ValueError, match=r"^radar_ids\[0\] must be an integer >= 0, got 1\.0$"):
+        generate_dataset(["walk_away"], cfg, radar_ids=(1.0,), n_frames=1)
+
+
+def test_a_negative_subject_is_refused_by_name():
+    # subject -1 used to get subject 3's body, labelled -1
+    for make in (lambda: skeleton_template(-1), lambda: pose_at("walk_toward", 0.0, MotionConfig(), subject=-1)):
+        with pytest.raises(ValueError, match=r"^subject must be an integer >= 0, got -1$"):
+            make()
+
+
 def test_generate_dataset_one_record_per_radar():
     cfg = MotionConfig(fps=5.0, duration_s=1.0, seed=1)
     records = generate_dataset(["swing_right"], cfg)
