@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from radarpose.physics import (
+    SPEED_OF_LIGHT,
     ChirpConfig,
     angle_from_phase,
     azimuth_phase,
@@ -18,7 +19,6 @@ from radarpose.physics import (
     doppler_phase,
     phase_at_range,
     range_from_beat,
-    round_trip_delay,
     velocity_from_phase,
 )
 
@@ -36,7 +36,7 @@ print(f"max unambiguous    {cfg.max_unambiguous_range_m:.1f} m range, "
 print("\n=== range -> beat frequency ===")
 for d in (1.0, 2.0, 3.5, 5.0):
     f0 = beat_frequency(d, cfg.slope_hz_per_s)
-    tau = round_trip_delay(d)
+    tau = 2.0 * d / SPEED_OF_LIGHT  # round-trip delay
     print(f"  d = {d:4.1f} m   delay {tau * 1e9:7.3f} ns   beat {f0 / 1e3:8.2f} kHz"
           f"   inverted -> {range_from_beat(f0, cfg.slope_hz_per_s):.6f} m")
 

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 
-from radarpose.fmcw import detect_points, range_spectrum, synthesize_frame
+from radarpose.fmcw import detect_points, synthesize_frame
 from radarpose.physics import ChirpConfig
 
 
 def show_spectrum(frame, n_bins=50):
-    spec = np.abs(range_spectrum(frame, chirp=0, rx=0))[:n_bins]
+    spec = np.abs(np.fft.fft(frame.samples[0, 0]))[:n_bins]  # chirp 0, RX 0
     top = spec.max() or 1.0
     cfg = frame.config
     bin_m = cfg.range_resolution_m

@@ -15,7 +15,7 @@ at exit. The full-scale run is:  radarpose ablate --frames 2000 --test-frames 50
 import tempfile
 from pathlib import Path
 
-from radarpose.harness import AblationConfig, per_joint_csv, report_to_csv, run_ablation
+from radarpose.harness import AblationConfig, report_to_csv, run_ablation
 
 with tempfile.TemporaryDirectory(prefix="radarpose_ablation_") as tmp:
     workdir = Path(tmp)
@@ -36,6 +36,5 @@ with tempfile.TemporaryDirectory(prefix="radarpose_ablation_") as tmp:
         verdict = "beats baseline" if row.mae_all_cm < report.baseline.mae_all_cm else "does not beat baseline"
         print(f"  {row.name:30s} {row.mae_all_cm:6.2f} cm  ({verdict})")
     print(f"\nsplit digests (identical across rows): {sorted(set(report.split_digests.values()))}")
-    per_joint_csv(report.rows, workdir / "ablation.joints.csv")
     n_files = sum(1 for _ in workdir.iterdir())
     print(f"{n_files} files written (CSVs, checkpoints, loss curves, JSONL and meta), removed at exit")

@@ -7,7 +7,7 @@ finite-difference-verified gradient engine.
 """
 
 from .physics import ChirpConfig, SPEED_OF_LIGHT
-from .fmcw import Detection, RawFrame, detect_points, detections_to_points, range_spectrum, synthesize_frame
+from .fmcw import Detection, RawFrame, detect_points, detections_to_points, synthesize_frame
 from .pointcloud import (
     FusedFrame,
     RadarPose,
@@ -32,7 +32,6 @@ from .model import (
     load_checkpoint,
     predict_batch,
     save_checkpoint,
-    tnet_forward,
     train,
 )
 from .harness import AblationConfig, MetricsReport, arm_swing_score, evaluate, run_ablation

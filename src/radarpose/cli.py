@@ -20,9 +20,9 @@ from .harness import (
     AblationConfig,
     MetricsReport,
     fit,
+    joints_path,
     load_file,
     meta_path,
-    per_joint_csv,
     preprocess,
     read_snr_bounds,
     report_to_csv,
@@ -121,16 +121,13 @@ def cmd_eval(args) -> int:
     text = report_to_csv(MetricsReport(rows=[row]), args.report, included)
     print(text, end="")
     if args.report:
-        joints_path = Path(args.report).with_suffix(".joints.csv")
-        per_joint_csv([row], joints_path)
-        print(f"wrote {args.report} and {joints_path}")
+        print(f"wrote {args.report} and {joints_path(args.report)}")
     return 0
 
 
 def cmd_ablate(args) -> int:
     report = run_ablation(_config(AblationConfig, args))
     text = report_to_csv(report, args.out_csv)
-    per_joint_csv(report.rows, Path(args.out_csv).with_suffix(".joints.csv"))
     print(text, end="")
     if report.baseline is not None:
         print(f"mean-pose baseline MAE: {report.baseline.mae_all_cm:.4f} cm")

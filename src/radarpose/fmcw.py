@@ -151,14 +151,6 @@ def _running_products(first, step: np.ndarray, count: int) -> np.ndarray:
     return np.multiply.accumulate(table, axis=0, out=table)
 
 
-def range_spectrum(frame: RawFrame, chirp: int, rx: int) -> np.ndarray:
-    """DFT of one chirp's samples; bin k sits at range k * c * fs / (2 S n)."""
-    n_chirps, n_rx, _ = frame.samples.shape
-    if not (0 <= chirp < n_chirps and 0 <= rx < n_rx):
-        raise IndexError(f"chirp/rx index ({chirp}, {rx}) out of bounds")
-    return np.fft.fft(frame.samples[chirp, rx])
-
-
 def bin_to_range(cfg: ChirpConfig, k):
     """Range [m] represented by FFT bin ``k`` (an int or an array of bins)."""
     return range_from_beat(k * cfg.sample_rate_hz / cfg.n_samples, cfg.slope_hz_per_s)

@@ -209,37 +209,31 @@ def report_header(included: tuple = DEFAULT_INCLUDED) -> list[str]:
     ]
 
 
+def joints_path(path) -> Path:
+    """Where :func:`report_to_csv` writes the per-joint companion of the table at ``path``."""
+    return Path(path).with_suffix(".joints.csv")
+
+
+def _csv(table) -> str:
+    return "".join(",".join(cells) + "\n" for cells in table)
+
+
 def report_to_csv(report: MetricsReport, path, included: tuple = DEFAULT_INCLUDED) -> str:
-    """Write the metrics table; returns the CSV text (LF endings)."""
-    lines = [",".join(report_header(included))]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.name,
-                    _fmt(row.mae_all_cm),
-                    _fmt(row.mae_arms_swing_cm),
-                    _fmt(row.mae_lower_cm),
-                    _fmt(row.mae_depth_cm),
-                    _fmt(row.arm_swing_pct),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    """The metrics table as CSV text (LF endings). With a ``path``, the table is
+    written there and its per-joint MAE breakdown, one column per model row,
+    to :func:`joints_path`."""
+    rows = report.rows
+    text = _csv([report_header(included)] + [
+        [row.name, *map(_fmt, (row.mae_all_cm, row.mae_arms_swing_cm, row.mae_lower_cm, row.mae_depth_cm,
+                               row.arm_swing_pct))]
+        for row in rows
+    ])
     if path is not None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
-    return text
-
-
-def per_joint_csv(rows: list, path) -> str:
-    """Companion per-joint MAE breakdown, one column per model row."""
-    names = [r.name for r in rows]
-    joints = sorted(rows[0].per_joint_mae_cm) if rows else []
-    lines = [",".join(["Joint", *names])]
-    for j in joints:
-        lines.append(",".join([j, *[_fmt(r.per_joint_mae_cm.get(j)) for r in rows]]))
-    text = "\n".join(lines) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+        joints = sorted(rows[0].per_joint_mae_cm) if rows else []
+        per_joint = [["Joint", *(r.name for r in rows)]]
+        per_joint += [[j, *(_fmt(r.per_joint_mae_cm.get(j)) for r in rows)] for j in joints]
+        joints_path(path).write_text(_csv(per_joint), encoding="utf-8", newline="\n")
     return text
 
 

@@ -30,12 +30,12 @@ bias corrections into one step size and one epsilon per step
 (:func:`_adam_step`): the moments stay bitwise, the parameters move by
 rounding only, within 7.4e-14*lr per step of the per-array form.
 
-Inference (:func:`forward`, :func:`predict_batch`, :func:`tnet_forward`)
-runs the training graph inside ``autodiff.no_tape``, so it builds no tape
-and frees each layer's output once the next layer has read it; its outputs
-are bitwise the taped graph's. In :func:`backward` the sweep releases each
-interior node's gradient once its backward has run; only the parameters and
-inputs keep theirs.
+Inference (:func:`forward`, :func:`predict_batch`) runs the training graph
+inside ``autodiff.no_tape``, so it builds no tape and frees each layer's
+output once the next layer has read it; its outputs are bitwise the taped
+graph's. In :func:`backward` the sweep releases each interior node's
+gradient once its backward has run; only the parameters and inputs keep
+theirs.
 """
 
 from __future__ import annotations
@@ -368,24 +368,6 @@ def _prepare_inputs(cfg: ModelConfig, inputs: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def tnet_forward(view: np.ndarray, params: ModelParams, branch: str | None = None):
-    """Apply one branch's learned affine transform to a (B, N, D) batch of views.
-
-    Returns (transformed views (B, N, D), transforms (B, D, D)).
-    """
-    cfg = params.config
-    if branch is None:
-        branch = cfg.branches[0]
-    view = np.asarray(view, dtype=float)
-    if view.ndim != 3 or view.shape[2] != cfg.tnet_dim:
-        raise ValueError(f"tnet_forward takes (B, N, {cfg.tnet_dim}) views, got {view.shape}")
-    pt = _wrap_params(params.params)
-    with no_tape():
-        view = Tensor(view)
-        transform = _tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{branch}.tnet")
-        return (view @ transform).data, transform.data
-
 
 def forward(params: ModelParams, inputs: Mapping) -> np.ndarray:
     """Predict (B, 3J) normalized joint coordinates of a packed batch.

@@ -21,8 +21,6 @@ import numpy as np
 #: Speed of light in vacuum [m/s], exact by SI definition.
 SPEED_OF_LIGHT = 299_792_458.0
 
-C = SPEED_OF_LIGHT
-
 
 class OutOfFieldError(ValueError):
     """Phase difference implies an angle outside (-90, 90) degrees."""
@@ -30,13 +28,6 @@ class OutOfFieldError(ValueError):
 
 class VelocityAmbiguityWarning(UserWarning):
     """Chirp-to-chirp phase exceeded pi; recovered velocity is aliased."""
-
-
-def round_trip_delay(distance_m: float) -> float:
-    """Two-way propagation delay [s] for a reflector at ``distance_m``."""
-    if distance_m < 0:
-        raise ValueError(f"distance must be >= 0, got {distance_m}")
-    return 2.0 * distance_m / C
 
 
 def beat_frequency(distance_m, slope_hz_per_s: float):
@@ -49,7 +40,7 @@ def beat_frequency(distance_m, slope_hz_per_s: float):
         raise ValueError(f"distance must be >= 0, got {distance_m}")
     if slope_hz_per_s <= 0:
         raise ValueError(f"chirp slope must be > 0, got {slope_hz_per_s}")
-    return slope_hz_per_s * 2.0 * distance_m / C
+    return slope_hz_per_s * 2.0 * distance_m / SPEED_OF_LIGHT
 
 
 def range_from_beat(beat_hz, slope_hz_per_s: float):
@@ -61,7 +52,7 @@ def range_from_beat(beat_hz, slope_hz_per_s: float):
         raise ValueError(f"beat frequency must be >= 0, got {beat_hz}")
     if slope_hz_per_s <= 0:
         raise ValueError(f"chirp slope must be > 0, got {slope_hz_per_s}")
-    return beat_hz * C / (2.0 * slope_hz_per_s)
+    return beat_hz * SPEED_OF_LIGHT / (2.0 * slope_hz_per_s)
 
 
 def phase_at_range(distance_m, wavelength_m: float):
@@ -191,7 +182,7 @@ class ChirpConfig:
     @property
     def wavelength_m(self) -> float:
         """Carrier wavelength [m] at the sweep start frequency."""
-        return C / self.start_freq_hz
+        return SPEED_OF_LIGHT / self.start_freq_hz
 
     @property
     def bandwidth_hz(self) -> float:
@@ -201,7 +192,7 @@ class ChirpConfig:
     @property
     def range_resolution_m(self) -> float:
         """Range bin width [m] = c / (2 B)."""
-        return C / (2.0 * self.bandwidth_hz)
+        return SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
 
     @property
     def max_unambiguous_range_m(self) -> float:

@@ -29,7 +29,6 @@ class RadarPose:
 
     height_m: float
     tilt_down_rad: float
-    lateral_offset_m: float = 0.0
 
     def __post_init__(self):
         if self.height_m < 0:
@@ -70,7 +69,6 @@ def transform_to_world(xyz: np.ndarray, pose: RadarPose) -> np.ndarray:
     """Vectorized radar-to-world map for an (N, 3) array."""
     rot = _pitch_rotation(pose.tilt_down_rad)
     out = np.asarray(xyz, dtype=float) @ rot.T
-    out[:, 0] += pose.lateral_offset_m
     out[:, 2] += pose.height_m
     return out
 
@@ -79,7 +77,6 @@ def transform_to_radar(xyz: np.ndarray, pose: RadarPose) -> np.ndarray:
     """Exact inverse of :func:`transform_to_world` for an (N, 3) array."""
     rot = _pitch_rotation(pose.tilt_down_rad)
     out = np.asarray(xyz, dtype=float).copy()
-    out[:, 0] -= pose.lateral_offset_m
     out[:, 2] -= pose.height_m
     return out @ rot
 
@@ -97,11 +94,13 @@ def check_window_ms(window_ms: float) -> None:
 
 
 def check_dbscan_args(eps: float, min_pts: int) -> None:
-    """Reject a DBSCAN radius that is not > 0 (NaN included) or a ``min_pts`` below 1."""
+    """Reject a DBSCAN radius that is not > 0 (NaN included) or a ``min_pts`` below 1
+    or not an integer (a float or a bool)."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
+    require_count("min_pts", min_pts, 1)
 
 
 def check_radar_ids(radar_ids) -> None:
@@ -241,6 +240,10 @@ def build_views(points: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]
     ``(x, y, v, snr)`` and ``(y, z, v, snr)``. Points are canonically sorted,
     truncated to the ``n_max`` nearest, and zero-padded; the result is
     exactly invariant to input point order.
+
+    The yz view carries depth and radar identity, not elevation: the radars
+    measure no height, so each fused point lies on its radar's plane
+    z = h - tan(tilt) y, and a row's z follows from its y and its radar.
     """
     arr = points[canonical_order(points)][:n_max]
     kept = len(arr)

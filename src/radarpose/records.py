@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+ACTIONS = ("walk_toward", "walk_away", "swing_right", "swing_left")
 SWING_STATES = ("none", "left", "right")
 
 #: radar_id used for records holding the merged output of both radars
@@ -64,14 +65,25 @@ def _rows_of(rows, width: int) -> bool:
 
 
 def validate_record(rec) -> dict:
-    """Check a record's layout, naming its frame: every key, 32 ``[x, y, z]`` rows in
-    ``gt``, ``[x, y, z, v, snr]`` points (values are checked where they become arrays)."""
+    """Check a record's layout, naming its frame and the field: every key; integer
+    (not bool) ids, time and subject; an ``action`` in ``ACTIONS``, a ``swing_state``
+    in ``SWING_STATES``, ``fused`` absent or true; 32 ``[x, y, z]`` rows in ``gt``
+    and ``[x, y, z, v, snr]`` points. These are type and membership checks only:
+    point and joint values are checked where they become arrays."""
     if not isinstance(rec, dict):
         raise ValueError(f"record is a {type(rec).__name__}, not an object")
     for k in ("frame_id", "t_ms", "radar_id", "points", "gt", "action", "subject", "swing_state"):
         if k not in rec:
             raise ValueError(f"record missing key {k!r}")
     fid, gt = rec["frame_id"], rec["gt"]
+    for k in ("frame_id", "t_ms", "radar_id", "subject"):
+        if type(rec[k]) is not int:  # a bool is no int here
+            raise ValueError(f"frame {fid}: {k} must be an integer, got {rec[k]!r}")
+    for k, allowed in (("action", ACTIONS), ("swing_state", SWING_STATES)):
+        if rec[k] not in allowed:
+            raise ValueError(f"frame {fid}: {k} must be one of {allowed}, got {rec[k]!r}")
+    if rec.get("fused", True) is not True:
+        raise ValueError(f"frame {fid}: fused must be true when present, got {rec['fused']!r}")
     if not (_rows_of(gt, 3) and len(gt) == 32):
         got = f"{len(gt)} rows" if _rows_of(gt, 3) else "rows that are not 3 values each"
         raise ValueError(f"frame {fid}: gt is not 32 finite [x, y, z] rows (got {got})")

@@ -20,9 +20,7 @@ import numpy as np
 from .fmcw import detect_points, detections_to_points, synthesize_frame
 from .physics import ChirpConfig, require_count
 from .pointcloud import DEFAULT_POSES, RadarPose, check_radar_ids, rotate_to_radar, transform_to_radar
-from .records import make_record, write_jsonl
-
-ACTIONS = ("walk_toward", "walk_away", "swing_right", "swing_left")
+from .records import ACTIONS, make_record, write_jsonl
 
 #: Azure-Kinect-style 32-joint convention: name -> parent (pelvis is the root).
 JOINT_PARENT = {
@@ -223,14 +221,6 @@ class MotionConfig:
         self.seed = require_count("seed", self.seed, 0)
 
 
-def bone_lengths_of(joints: np.ndarray) -> np.ndarray:
-    """Segment length of each of the 31 bones, in BONES order."""
-    joints = np.asarray(joints, dtype=float)
-    return np.array(
-        [np.linalg.norm(joints[JOINT_INDEX[c]] - joints[JOINT_INDEX[p]]) for p, c in BONES]
-    )
-
-
 def swing_state_of(joints: np.ndarray) -> str:
     """Which elbow, if any, is above its shoulder line (the higher one if both are)."""
     joints = np.asarray(joints, dtype=float)
@@ -364,22 +354,20 @@ def reflectors_from_skeleton(
     skel: SkeletonFrame,
     density: int,
     radar_pose: RadarPose,
-    velocities: np.ndarray | None = None,
+    velocities: np.ndarray,
 ) -> np.ndarray:
     """Sample radar-frame point reflectors along every bone.
 
     ``density`` points per bone, evenly spaced; reflection gain depends on
     the body part. Radial velocity is the line-of-sight projection of the
-    (linearly interpolated) joint velocity; pass ``velocities`` as a
-    (32, 3) world-frame array, else the body is treated as static.
+    (linearly interpolated) joint velocity, given as ``velocities``, a
+    (32, 3) world-frame array.
 
     Returns (31 * density, 5) rows ``[x, y, z, radial velocity, gain]``,
     bone by bone in BONES order, the points of each bone from parent to
     child.
     """
     require_count("density", density, 1)
-    if velocities is None:
-        velocities = np.zeros((N_JOINTS, 3))
     velocities = np.asarray(velocities, dtype=float)
 
     fracs = ((np.arange(density) + 0.5) / density)[None, :, None]

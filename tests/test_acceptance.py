@@ -151,7 +151,7 @@ def test_acceptance_dbscan_oracle_equivalence():
 
 def test_acceptance_rigid_transform():
     rng = np.random.default_rng(3)
-    pose = RadarPose(height_m=1.3, tilt_down_rad=math.radians(17.0), lateral_offset_m=0.2)
+    pose = RadarPose(height_m=1.3, tilt_down_rad=math.radians(17.0))
     a = rng.uniform(-4, 4, size=(10000, 3))
     b = rng.uniform(-4, 4, size=(10000, 3))
     wa, wb = transform_to_world(a, pose), transform_to_world(b, pose)

@@ -539,7 +539,6 @@ def _observe(monkeypatch, command, argv):
         patch("frames_from_records", _spy(seen, []))
         for name in ("examples_from_frames", "predict_batch", "evaluate"):
             patch(name, _spy(seen))
-        patch("per_joint_csv", _spy(seen), cli)
         patch("report_to_csv", _spy(seen, "", report=lambda rep, path, js: path), cli)
     elif command == "ablate":
         fields = {
@@ -554,7 +553,6 @@ def _observe(monkeypatch, command, argv):
             key: (lambda field: lambda cfg: getattr(cfg, field))(field) for key, field in fields.items()
         }), cli)
         patch("report_to_csv", _spy(seen, "", out_csv=lambda rep, path: path), cli)
-        patch("per_joint_csv", _spy(seen), cli)
     elif command == "gradcheck":
         patch("run_gradient_checks", _spy(
             seen, [], seed=lambda seeds, rtol: seeds[0], tolerance=lambda seeds, rtol: rtol,

@@ -1,10 +1,15 @@
-"""The narrative demos run to completion.
+"""The narrative demos run to completion, and every name they import from
+``radarpose`` exists.
 
 Demo 04 trains dual_cnn and runs the gradient check (about 7 s). Demo 05,
-the mini ablation, trains three models and stays out. Each demo runs with
-numpy's RuntimeWarning raised as an error, as in the test suite itself.
+the mini ablation, trains three models and does not run here; the import
+check covers it. Each demo runs with numpy's RuntimeWarning raised as an
+error, as in the test suite itself.
 """
 
+import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +41,22 @@ def test_demo_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_imports_resolve(script):
+    tree = ast.parse((DEMOS / script).read_text(encoding="utf-8"))
+    imported = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names if a.name.split(".")[0] == "radarpose"]
+            imported += len(modules)
+            for name in modules:
+                importlib.import_module(name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "radarpose":
+            module = importlib.import_module(node.module)
+            missing = [a.name for a in node.names if not hasattr(module, a.name)
+                       and not (hasattr(module, "__path__") and importlib.util.find_spec(f"{node.module}.{a.name}"))]
+            assert not missing, f"{script}: {node.module} has no {missing}"
+            imported += len(node.names)
+    assert imported

@@ -11,7 +11,6 @@ from radarpose.fmcw import (
     bin_to_range,
     detect_points,
     detections_to_points,
-    range_spectrum,
     synthesize_frame,
 )
 from radarpose.physics import ChirpConfig, beat_frequency, range_from_beat, velocity_from_phase
@@ -111,36 +110,15 @@ def test_synthesis_rejects_anything_but_reflector_rows(shape):
 
 def test_dominant_frequency_matches_beat_oracle():
     frame = synthesize_frame([one_reflector(d=2.0)], CFG, seed=0)
-    spec = np.abs(range_spectrum(frame, 0, 0))
+    spec = np.abs(np.fft.fft(frame.samples[0, 0]))
     k = int(np.argmax(spec))
     f_bin = k * CFG.sample_rate_hz / CFG.n_samples
     assert abs(f_bin - beat_frequency(2.0, CFG.slope_hz_per_s)) <= CFG.sample_rate_hz / CFG.n_samples
 
 
-def test_range_spectrum_of_zeros_is_zero():
-    frame = RawFrame(samples=np.zeros((2, 2, 200), dtype=complex), config=CFG)
-    assert not range_spectrum(frame, 0, 0).any()
-
-
-def test_range_spectrum_pure_tone_hits_its_bin():
-    n = CFG.n_samples
-    tone = np.exp(2j * math.pi * 7 * np.arange(n) / n)
-    samples = np.tile(tone, (2, 2, 1))
-    frame = RawFrame(samples=samples, config=CFG)
-    assert int(np.argmax(np.abs(range_spectrum(frame, 1, 1)))) == 7
-
-
-def test_range_spectrum_index_bounds():
-    frame = synthesize_frame(NO_REFLECTORS, CFG, seed=0)
-    with pytest.raises(IndexError):
-        range_spectrum(frame, 2, 0)
-    with pytest.raises(IndexError):
-        range_spectrum(frame, 0, 5)
-
-
 def test_peak_range_within_resolution():
     frame = synthesize_frame([one_reflector(d=2.5)], CFG, seed=0)
-    spec = np.abs(range_spectrum(frame, 0, 0))
+    spec = np.abs(np.fft.fft(frame.samples[0, 0]))
     k = int(np.argmax(spec))
     assert abs(bin_to_range(CFG, k) - 2.5) <= CFG.range_resolution_m
 
@@ -417,7 +395,7 @@ def test_peak_mask_handles_plateaus_and_edge_bins():
     spectrum[[0, 10, 11, 40, CFG.n_samples - 1]] = [50.0, 20.0, 20.0, 30.0, 40.0]
     tone = np.fft.ifft(spectrum)
     frame = RawFrame(samples=np.tile(tone, (2, 2, 1)), config=CFG)
-    power = np.abs(range_spectrum(frame, 0, 0)) ** 2
+    power = np.abs(np.fft.fft(frame.samples[0, 0])) ** 2
     assert power[10] == power[11]
     dets = detect_points(frame)
     assert dets == _detect_per_bin(frame, 12.0)

@@ -10,9 +10,9 @@ from radarpose.harness import (
     arm_swing_score,
     evaluate,
     frames_from_records,
+    joints_path,
     loss_curve_svg,
     mean_pose_baseline,
-    per_joint_csv,
     report_header,
     report_to_csv,
     run_ablation,
@@ -143,13 +143,17 @@ def test_report_csv_schema(tmp_path):
 
 
 def test_per_joint_csv(tmp_path):
-    row = VariantMetrics(
-        name="m", mae_all_cm=0, mae_arms_swing_cm=None, mae_lower_cm=0,
-        mae_depth_cm=0, arm_swing_pct=None, per_joint_mae_cm={"pelvis": 1.25, "head": 0.5},
-    )
-    text = per_joint_csv([row], tmp_path / "j.csv")
-    assert "Joint,m" in text
-    assert "pelvis,1.2500" in text
+    # report_to_csv writes the per-joint companion next to every table it writes
+    rows = [
+        VariantMetrics(name=name, mae_all_cm=0, mae_arms_swing_cm=None, mae_lower_cm=0, mae_depth_cm=0,
+                       arm_swing_pct=None, per_joint_mae_cm={"pelvis": pelvis, "head": 0.5})
+        for name, pelvis in (("m", 1.25), ("n", 2.0))
+    ]
+    report_to_csv(MetricsReport(rows=rows), tmp_path / "j.csv")
+    assert joints_path(tmp_path / "j.csv") == tmp_path / "j.joints.csv"
+    assert (tmp_path / "j.joints.csv").read_text() == "Joint,m,n\nhead,0.5000,0.5000\npelvis,1.2500,2.0000\n"
+    report_to_csv(MetricsReport(rows=rows), None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["j.csv", "j.joints.csv"]
 
 
 def test_evaluate_rejects_an_unknown_included_joint():
@@ -217,6 +221,18 @@ def test_frames_from_records_rejects_a_repeated_frame_id():
     recs = [_fused_record(i, [[0.1, 2.0, 1.0, -0.2, 0.7]]) for i in (4, 6, 4)]
     with pytest.raises(ValueError, match="frame 4: frame_id repeated"):
         frames_from_records(recs)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t_ms", True, r"^frame 5: t_ms must be an integer, got True$"),
+    ("radar_id", -1.0, r"^frame 5: radar_id must be an integer, got -1\.0$"),
+    ("action", "jump", r"^frame 5: action must be one of \('walk_toward', .*\), got 'jump'$"),
+], ids=["t-ms-bool", "radar-id-float", "unknown-action"])
+def test_frames_from_records_names_the_frame_and_field_of_a_bad_scalar(field, value, message):
+    rec = _fused_record(5, [[0.1, 2.0, 1.0, -0.2, 0.7]])
+    rec[field] = value
+    with pytest.raises(ValueError, match=message):
+        frames_from_records([_fused_record(4, [[0.1, 2.0, 1.0, -0.2, 0.7]]), rec])
 
 
 def test_loss_curve_svg(tmp_path):

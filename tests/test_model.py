@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radarpose import model as model_module
-from radarpose.autodiff import Tensor, concat, conv2d, maxpool2d, mse
+from radarpose.autodiff import Tensor, concat, conv2d, maxpool2d, mse, no_tape
 from radarpose.gradcheck import toy_config, variant_inputs
 from radarpose.model import (
     ADAM_BLOCK,
@@ -32,7 +32,6 @@ from radarpose.model import (
     param_layout,
     predict_batch,
     save_checkpoint,
-    tnet_forward,
     train,
 )
 from radarpose.physics import ChirpConfig
@@ -171,11 +170,22 @@ def test_tnet_dim_follows_variant():
 # tnet
 # ---------------------------------------------------------------------------
 
+def untaped_tnet(view, mp, branch=None):
+    """One branch's TNet on (B, N, D) views, built without a tape:
+    ``(view @ transform, transform)``."""
+    cfg = mp.config
+    view = Tensor(np.asarray(view, dtype=float))
+    with no_tape():
+        transform = model_module._tnet_graph(view, *_kept_rows(view.data), model_module._wrap_params(mp.params),
+                                             cfg, f"{branch or cfg.branches[0]}.tnet")
+        return (view @ transform).data, transform.data
+
+
 def test_tnet_is_identity_at_init():
     cfg = toy_config("dual_cnn", seed=3)
     mp = init_params(cfg)
     view = np.random.default_rng(0).normal(size=(2, cfg.n_max, 4))
-    out, transform = tnet_forward(view, mp)
+    out, transform = untaped_tnet(view, mp)
     np.testing.assert_array_equal(transform, np.broadcast_to(np.eye(4), (2, 4, 4)))
     np.testing.assert_array_equal(out, view)
 
@@ -187,19 +197,11 @@ def test_tnet_transform_permutation_invariant():
     # jitter so the transform is not the trivial identity
     mp.flat += 0.1 * rng.normal(size=mp.flat.size)
     view = rng.normal(size=(1, cfg.n_max, 4))
-    _, t_ref = tnet_forward(view, mp)
+    _, t_ref = untaped_tnet(view, mp)
     for _ in range(5):
         perm = rng.permutation(cfg.n_max)
-        _, t_perm = tnet_forward(view[:, perm], mp)
+        _, t_perm = untaped_tnet(view[:, perm], mp)
         np.testing.assert_allclose(t_perm, t_ref, atol=1e-12)
-
-
-def test_tnet_rejects_wrong_width():
-    mp = init_params(toy_config("dual_cnn", seed=0))
-    with pytest.raises(ValueError, match=r"tnet_forward takes \(B, N, 4\) views, got \(1, 8, 3\)"):
-        tnet_forward(np.zeros((1, 8, 3)), mp)
-    with pytest.raises(ValueError, match=r"got \(8, 4\)"):  # one unbatched view
-        tnet_forward(np.zeros((8, 4)), mp)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +424,7 @@ def test_compacted_forward_is_bitwise_the_padded_graph(variant, small):
     assert predict_batch(mp, ex).tobytes() == expected.tobytes()
     for br in cfg.branches:
         view = inputs[br]
-        out, transform = tnet_forward(view.data, mp, br)
+        out, transform = untaped_tnet(view.data, mp, br)
         ref_out, ref_transform = _padded_tnet(view, model_module._wrap_params(mp.params), cfg, f"{br}.tnet")
         assert out.tobytes() == ref_out.data.tobytes()
         assert transform.tobytes() == ref_transform.data.tobytes()
@@ -796,7 +798,7 @@ def test_predict_batch_of_one_frame_matches_its_batch_row():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_inference_returns_the_taped_graphs_bytes(variant):
-    # forward, predict_batch and tnet_forward build no tape; the same graph built with one gives the same bits
+    # forward, predict_batch and the untaped TNet build no tape; the same graph built with one gives the same bits
     cfg = ModelConfig(variant=variant, seed=53)
     ex = _packed_examples(cfg.n_max, seed=54)
     mp = _trained_like(cfg, seed=55)
@@ -809,7 +811,7 @@ def test_inference_returns_the_taped_graphs_bytes(variant):
     assert predict_batch(mp, ex).tobytes() == expected.tobytes()
     for br in cfg.branches:
         view = inputs[br]
-        out, transform = tnet_forward(view.data, mp, br)
+        out, transform = untaped_tnet(view.data, mp, br)
         ref_transform = model_module._tnet_graph(view, *_kept_rows(view.data), pt, cfg, f"{br}.tnet")
         ref_out = view @ ref_transform
         assert ref_out._backward is not None

@@ -5,7 +5,7 @@ import pytest
 
 from radarpose import physics
 from radarpose.physics import (
-    C,
+    SPEED_OF_LIGHT,
     ChirpConfig,
     OutOfFieldError,
     VelocityAmbiguityWarning,
@@ -15,31 +15,10 @@ from radarpose.physics import (
     doppler_phase,
     phase_at_range,
     range_from_beat,
-    round_trip_delay,
     velocity_from_phase,
 )
 
-LAMBDA_77GHZ = C / 77e9
-
-
-def test_round_trip_delay_values():
-    assert round_trip_delay(0.0) == 0.0
-    assert round_trip_delay(C / 2.0) == 1.0
-    # frozen: 2 * 1.5 / 299792458
-    assert round_trip_delay(1.5) == pytest.approx(1.0006922855944561e-08, rel=1e-12)
-
-
-def test_round_trip_delay_linear():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        d = float(rng.uniform(0, 100))
-        a = float(rng.uniform(0, 10))
-        assert round_trip_delay(a * d) == pytest.approx(a * round_trip_delay(d), rel=1e-12, abs=0)
-
-
-def test_round_trip_delay_rejects_negative():
-    with pytest.raises(ValueError):
-        round_trip_delay(-0.1)
+LAMBDA_77GHZ = SPEED_OF_LIGHT / 77e9
 
 
 def test_beat_frequency_values():
@@ -151,7 +130,7 @@ def test_chirp_config_derived_quantities():
     cfg = ChirpConfig()
     assert cfg.wavelength_m == pytest.approx(LAMBDA_77GHZ, rel=1e-15)
     assert cfg.bandwidth_hz == pytest.approx(30e12 * 100e-6, rel=1e-15)
-    assert cfg.range_resolution_m == pytest.approx(C / (2 * 3e9), rel=1e-15)
+    assert cfg.range_resolution_m == pytest.approx(SPEED_OF_LIGHT / (2 * 3e9), rel=1e-15)
     assert cfg.range_resolution_m > 0
     assert cfg.rx_spacing_m == pytest.approx(cfg.wavelength_m / 2, rel=1e-15)
     assert cfg.max_unambiguous_range_m == pytest.approx(10.0, rel=1e-3)

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from radarpose import pointcloud
 from radarpose.pointcloud import (
+    DEFAULT_POSES,
     RadarPose,
     align_streams,
     build_cloud,
@@ -20,7 +22,8 @@ from radarpose.pointcloud import (
     transform_to_radar,
     transform_to_world,
 )
-from radarpose.records import make_record
+from radarpose.records import ACTIONS, make_record
+from radarpose.scene import MotionConfig, generate_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def test_radar_to_world_worked_example():
 
 def test_transform_is_rigid_and_invertible():
     rng = np.random.default_rng(7)
-    pose = RadarPose(height_m=1.7, tilt_down_rad=math.radians(12.0), lateral_offset_m=0.4)
+    pose = RadarPose(height_m=1.7, tilt_down_rad=math.radians(12.0))
     a = rng.uniform(-3, 3, size=(500, 3))
     b = rng.uniform(-3, 3, size=(500, 3))
     wa, wb = transform_to_world(a, pose), transform_to_world(b, pose)
@@ -544,3 +547,25 @@ def test_fuse_records_refuses_a_raw_point_that_is_not_finite(radar_ids, value, c
     recs[1]["points"][3][col] = value
     with pytest.raises(ValueError, match=rf"^frame 7, radar 1: point 3 holds {value}$"):
         fuse_records(recs, radar_ids=radar_ids, eps=0.3, min_pts=4)
+
+
+@pytest.mark.parametrize("min_pts", [2.5, True], ids=["float", "bool"])
+def test_a_min_pts_that_is_no_integer_is_refused_by_name(min_pts):
+    message = re.escape(f"min_pts must be an integer >= 1, got {min_pts!r}")
+    with pytest.raises(ValueError, match=message):
+        dbscan(np.zeros((3, 3)), eps=0.3, min_pts=min_pts)
+    with pytest.raises(ValueError, match=message):
+        fuse_records([], radar_ids=(0,), eps=0.3, min_pts=min_pts)
+
+
+@pytest.mark.parametrize("radar_id", range(len(DEFAULT_POSES)))
+def test_the_yz_view_holds_each_radars_plane_not_elevation(radar_id):
+    # two RX antennas resolve azimuth only, so every raw point has radar-frame z = 0
+    # and every fused point of one radar lies on its plane z = h - tan(tilt) y
+    pose = DEFAULT_POSES[radar_id]
+    raw = generate_dataset(ACTIONS, MotionConfig(seed=3), radar_ids=(radar_id,), n_frames=40)
+    views = [build_views(np.asarray(rec["points"]).reshape(-1, 5), 64)[1]
+             for rec in fuse_records(raw, radar_ids=(radar_id,))]
+    y, z = np.vstack([view[(view != 0).any(axis=1)] for view in views])[:, :2].T
+    assert len(y) > 100
+    np.testing.assert_allclose(z, pose.height_m - math.tan(pose.tilt_down_rad) * y, rtol=0, atol=1e-12)

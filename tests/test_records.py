@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radarpose.records import SWING_STATES, make_record, read_jsonl, write_jsonl
+from radarpose.records import ACTIONS, SWING_STATES, make_record, read_jsonl, write_jsonl
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _ints = st.integers(-(2**53), 2**53)
@@ -18,7 +18,7 @@ _records = st.lists(
         radar_id=st.integers(-1, 1),
         points=st.lists(st.lists(_floats, min_size=5, max_size=5), max_size=6),
         gt=st.lists(st.lists(_floats, min_size=3, max_size=3), min_size=32, max_size=32),
-        action=st.text(),
+        action=st.sampled_from(ACTIONS),
         subject=_ints,
         swing_state=st.sampled_from(SWING_STATES),
         fused=st.booleans(),
@@ -62,8 +62,17 @@ def test_read_rejects_a_non_finite_token_naming_line_and_frame(tmp_path, token):
         (lambda rec: rec.update(gt=5), r"frame 7: gt is not 32 finite .* \(got rows that are not 3 values"),
         (lambda rec: rec["points"][0].pop(), r"frame 7: points are not \[x, y, z, v, snr\] rows$"),
         (lambda rec: rec.pop("action"), r"record missing key 'action'"),
+        (lambda rec: rec.update(radar_id="0"), r"frame 7: radar_id must be an integer, got '0'$"),
+        (lambda rec: rec.update(t_ms="x"), r"frame 7: t_ms must be an integer, got 'x'$"),
+        (lambda rec: rec.update(subject=1.0), r"frame 7: subject must be an integer, got 1\.0$"),
+        (lambda rec: rec.update(frame_id=True), r"frame True: frame_id must be an integer, got True$"),
+        (lambda rec: rec.update(action="jump"), r"frame 7: action must be one of \('walk_toward', .*\), got 'jump'$"),
+        (lambda rec: rec.update(swing_state="up"),
+         r"frame 7: swing_state must be one of \('none', 'left', 'right'\), got 'up'$"),
+        (lambda rec: rec.update(fused=False), r"frame 7: fused must be true when present, got False$"),
     ],
-    ids=["31-joints", "4-value-joint", "number-gt", "4-value-point", "no-action"],
+    ids=["31-joints", "4-value-joint", "number-gt", "4-value-point", "no-action", "radar-id-string",
+         "t-ms-string", "subject-float", "frame-id-bool", "unknown-action", "unknown-swing-state", "fused-false"],
 )
 def test_read_names_line_and_frame_of_a_malformed_record(tmp_path, edit, message):
     rec = _record(7)

@@ -26,7 +26,6 @@ from radarpose.scene import (
     JOINT_PARENT,
     REST_DEPTH,
     MotionConfig,
-    bone_lengths_of,
     generate_dataset,
     joint_velocities,
     _BONE_SPEC,
@@ -38,6 +37,7 @@ from radarpose.scene import (
 )
 
 BORESIGHT_RADAR = RadarPose(height_m=0.0, tilt_down_rad=0.0)
+STILL = np.zeros((len(JOINT_NAMES), 3))  # joint velocities of a body at rest
 
 
 def test_joint_table_is_a_32_joint_tree():
@@ -170,13 +170,18 @@ def test_swing_state_matches_geometric_predicate_everywhere():
             assert frame.swing_state == swing_state_of(frame.joints)
 
 
+def _bone_lengths(joints):
+    """Segment length of each bone, in BONES order."""
+    return np.array([np.linalg.norm(joints[JOINT_INDEX[c]] - joints[JOINT_INDEX[p]]) for p, c in BONES])
+
+
 def test_bone_lengths_conserved_during_motion():
     cfg = MotionConfig(seed=5)
-    refs = [bone_lengths_of(skeleton_template(subject).joints) for subject in range(4)]
+    refs = [_bone_lengths(skeleton_template(subject).joints) for subject in range(4)]
     assert all(np.all(a < b) for a, b in zip(refs, refs[1:]))  # each body has its own lengths
     for subject, ref in enumerate(refs):
         for action in ACTIONS:
-            got = bone_lengths_of(pose_at(action, 0.37, cfg, subject=subject).joints)
+            got = _bone_lengths(pose_at(action, 0.37, cfg, subject=subject).joints)
             np.testing.assert_allclose(got, ref, atol=1e-9)
 
 
@@ -187,20 +192,20 @@ def test_pose_at_rejects_unknown_action():
 
 def test_static_pose_yields_zero_radial_velocity():
     frame = skeleton_template()
-    refl = reflectors_from_skeleton(frame, density=2, radar_pose=RADAR_A_POSE)
+    refl = reflectors_from_skeleton(frame, density=2, radar_pose=RADAR_A_POSE, velocities=STILL)
     assert all(rv == 0.0 for rv in refl[:, 3])
 
 
 def test_density_one_gives_one_reflector_per_bone():
-    refl = reflectors_from_skeleton(skeleton_template(), density=1, radar_pose=RADAR_A_POSE)
+    refl = reflectors_from_skeleton(skeleton_template(), density=1, radar_pose=RADAR_A_POSE, velocities=STILL)
     assert len(refl) == 31
-    refl3 = reflectors_from_skeleton(skeleton_template(), density=3, radar_pose=RADAR_A_POSE)
+    refl3 = reflectors_from_skeleton(skeleton_template(), density=3, radar_pose=RADAR_A_POSE, velocities=STILL)
     assert len(refl3) == 93
 
 
 def test_torso_reflects_stronger_than_limbs():
     frame = skeleton_template()
-    refl = reflectors_from_skeleton(frame, density=1, radar_pose=RADAR_A_POSE)
+    refl = reflectors_from_skeleton(frame, density=1, radar_pose=RADAR_A_POSE, velocities=STILL)
     by_child = {child: r for (_, child), r in zip(BONES, refl)}
     assert by_child["spine_chest"][4] > by_child["knee_left"][4]
     assert by_child["knee_left"][4] > by_child["hand_left"][4]
