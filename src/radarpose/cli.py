@@ -24,7 +24,7 @@ from .harness import (
     load_file,
     meta_path,
     preprocess,
-    read_snr_bounds,
+    read_meta,
     report_to_csv,
     run_ablation,
     score,
@@ -88,7 +88,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     records = read_jsonl(args.input)
-    bounds = read_snr_bounds(args.snr_meta) if args.snr_meta else None
+    bounds = read_meta(args.snr_meta)[0] if args.snr_meta else None
     fused, (lo, hi) = preprocess(records, args.radars, _config(AblationConfig, args), bounds, args.out)
     print(f"wrote {len(fused)} fused frames to {args.out} (snr affine [{lo:.3f}, {hi:.3f}], meta {meta_path(args.out)})")
     return 0

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Hyper, ModelConfig, examples_from_frames, predict_batch, save_checkpoint, split_indices, train
-from .physics import ChirpConfig
+from .physics import ChirpConfig, require_count
 from .pointcloud import (
     DEFAULT_EPS_M,
     DEFAULT_MIN_PTS,
@@ -360,23 +360,19 @@ def meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _meta_bounds(meta: dict, meta_file, required: bool = False):
-    """``(snr_min, snr_max)`` from a preprocess meta file.
-
-    None when the file holds neither field and ``required`` is false; a
-    ``ValueError`` naming the file and the field when one is missing.
-    """
-    missing = [k for k in ("snr_min", "snr_max") if k not in meta]
-    if len(missing) == 2 and not required:
-        return None
-    if missing:
-        raise ValueError(f"{meta_file} has no {missing[0]!r} field; SNR bounds need both snr_min and snr_max")
-    return (meta["snr_min"], meta["snr_max"])
-
-
-def read_snr_bounds(meta_file) -> tuple:
-    """The SNR bounds that the preprocess meta file ``meta_file`` holds; both fields are required."""
-    return _meta_bounds(json.loads(Path(meta_file).read_text(encoding="utf-8")), meta_file, required=True)
+def read_meta(meta_file) -> tuple:
+    """``((snr_min, snr_max), n_max)`` of the preprocess meta file ``meta_file``;
+    ``n_max`` is None when the file holds none. A missing SNR bound, or an
+    ``n_max`` that is not an integer >= 2, raises naming the file and the field."""
+    meta = json.loads(Path(meta_file).read_text(encoding="utf-8"))
+    for k in ("snr_min", "snr_max"):
+        if k not in meta:
+            raise ValueError(f"{meta_file} has no {k!r} field; SNR bounds need both snr_min and snr_max")
+    try:
+        n_max = require_count("n_max", meta["n_max"], 2) if "n_max" in meta else None
+    except ValueError as exc:
+        raise ValueError(f"{meta_file}: {exc}") from None
+    return (meta["snr_min"], meta["snr_max"]), n_max
 
 
 def preprocess(records, radar_ids, cfg: AblationConfig, snr_bounds=None, out_path=None):
@@ -412,14 +408,12 @@ def load(records, n_max: int):
 def load_file(path, n_max: int | None = None):
     """:func:`load` of a fused JSONL file: ``(examples, gts, n_max, snr_bounds)``.
 
-    ``n_max`` defaults to the one in the file's meta, else ``ModelConfig``'s;
-    the SNR bounds are the meta's, or None without them.
+    Without a meta file (:func:`meta_path`) beside the data the SNR bounds
+    are None; ``n_max`` defaults to the meta's, else ``ModelConfig``'s.
     """
-    meta_file = meta_path(path)
-    meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
-    bounds = _meta_bounds(meta, meta_file)
+    bounds, meta_n_max = read_meta(meta_path(path)) if meta_path(path).exists() else (None, None)
     if n_max is None:
-        n_max = meta.get("n_max", ModelConfig.n_max)
+        n_max = ModelConfig.n_max if meta_n_max is None else meta_n_max
     return (*load(read_jsonl(path), n_max), n_max, bounds)
 
 

@@ -671,7 +671,7 @@ def predict_batch(params: ModelParams, examples: ExampleSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "radarpose-checkpoint"
-CHECKPOINT_VERSION = 2  # version 1 stored "data" as a JSON list of numbers; it is still read
+CHECKPOINT_VERSION = 2  # the only version read; version 1 (parameters as JSON lists of numbers) is refused
 
 def _config_from_dict(d: dict) -> ModelConfig:
     def tuples(v):
@@ -701,35 +701,20 @@ def save_checkpoint(params: ModelParams, path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def _read_stored_values(path, name: str, entry: dict, version: int, out: np.ndarray) -> None:
+def _read_stored_values(path, name: str, entry: dict, out: np.ndarray) -> None:
     """Decode one stored parameter into ``out``, its view of ``ModelParams.flat``."""
     shape, size = out.shape, out.size
     if tuple(entry["shape"]) != shape:
         raise ValueError(
             f"checkpoint {path}: parameter {name!r} has shape {tuple(entry['shape'])}; its config needs {shape}"
         )
-    if version == 1:
-        data = entry["data"]
-        if not isinstance(data, list):
-            raise ValueError(f"checkpoint {path}: parameter {name!r} data is not a JSON list of numbers")
-        bad = next((i for i, x in enumerate(data) if type(x) not in (float, int)), None)
-        if bad is not None:
-            raise ValueError(
-                f"checkpoint {path}: parameter {name!r} holds {data[bad]!r} at flat index {bad}, not a JSON number"
-            )
-        values = np.asarray(data, dtype=float)
-        if values.size != size:
-            raise ValueError(f"checkpoint {path}: parameter {name!r} has {values.size} values; {shape} needs {size}")
-    else:
-        try:
-            raw = base64.b64decode(entry["data"], validate=True)
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise ValueError(f"checkpoint {path}: parameter {name!r} data is not valid base64 ({exc})") from None
-        if len(raw) != 8 * size:
-            raise ValueError(
-                f"checkpoint {path}: parameter {name!r} decodes to {len(raw)} bytes; {shape} needs {8 * size}"
-            )
-        values = np.frombuffer(raw, "<f8")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"checkpoint {path}: parameter {name!r} data is not valid base64 ({exc})") from None
+    if len(raw) != 8 * size:
+        raise ValueError(f"checkpoint {path}: parameter {name!r} decodes to {len(raw)} bytes; {shape} needs {8 * size}")
+    values = np.frombuffer(raw, "<f8")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"checkpoint {path}: parameter {name!r} holds {values[bad[0]]} at flat index {bad[0]}")
@@ -737,15 +722,17 @@ def _read_stored_values(path, name: str, entry: dict, version: int, out: np.ndar
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a version-2 (or version-1) checkpoint, checking every parameter's
-    name, shape, byte count and finiteness against what its config defines."""
+    """Read a version-2 checkpoint, checking every parameter's name, shape,
+    byte count and finiteness against what its config defines, and the norm
+    block the way :func:`target_bounds` and ``normalize_snr`` leave it. Any
+    other version, version 1 included, is refused."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     version = doc.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"unsupported checkpoint version {version!r} in {path}; this reader takes 1 and {CHECKPOINT_VERSION}"
+            f"unsupported checkpoint version {version!r} in {path}; this reader takes version {CHECKPOINT_VERSION} only"
         )
     cfg = _config_from_dict(doc["config"])
     stored = doc["params"]
@@ -753,15 +740,21 @@ def load_checkpoint(path) -> ModelParams:
     for k, view in mp.params.items():
         if k not in stored:
             raise ValueError(f"checkpoint {path} lacks parameter {k!r} that its config needs")
-        _read_stored_values(path, k, stored[k], version, view)
+        _read_stored_values(path, k, stored[k], view)
     extra = [k for k in stored if k not in mp.params]
     if extra:
         raise ValueError(f"checkpoint {path} has parameter {extra[0]!r} that its config does not define")
     norm = doc["norm"]
-    for name in ("gt_min", "gt_max", "snr_bounds"):
-        if norm[name] is not None and not np.isfinite(np.asarray(norm[name], dtype=float)).all():
-            raise ValueError(f"checkpoint {path}: norm field {name!r} holds a non-finite value {norm[name]}")
-    mp.gt_min = None if norm["gt_min"] is None else np.asarray(norm["gt_min"], dtype=float)
-    mp.gt_max = None if norm["gt_max"] is None else np.asarray(norm["gt_max"], dtype=float)
-    mp.snr_bounds = None if norm["snr_bounds"] is None else tuple(norm["snr_bounds"])
+    for name, size in (("gt_min", 3), ("gt_max", 3), ("snr_bounds", 2)):
+        v = norm[name]
+        finite = isinstance(v, list) and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+        if v is not None and not (finite and len(v) == size):
+            raise ValueError(f"checkpoint {path}: norm field {name!r} must be {size} finite numbers or null, got {v!r}")
+    lo, hi, snr = norm["gt_min"], norm["gt_max"], norm["snr_bounds"]
+    if lo is not None and hi is not None and not all(a < b for a, b in zip(lo, hi)):
+        raise ValueError(f"checkpoint {path}: norm field 'gt_max' {hi} must exceed gt_min {lo} on every axis")
+    if snr is not None and snr[0] > snr[1]:
+        raise ValueError(f"checkpoint {path}: norm field 'snr_bounds' {snr} must have snr_min <= snr_max")
+    mp.gt_min, mp.gt_max = (None if v is None else np.asarray(v, dtype=float) for v in (lo, hi))
+    mp.snr_bounds = None if snr is None else tuple(snr)
     return mp

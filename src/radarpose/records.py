@@ -18,6 +18,20 @@ SWING_STATES = ("none", "left", "right")
 #: radar_id used for records holding the merged output of both radars
 FUSED_RADAR_ID = -1
 
+#: every record field in file order, with what it holds: an integer (a bool is
+#: none) of at least the given value, one of the given labels, or rows of the
+#: given columns (``gt`` holds one row per joint, 32)
+RECORD_FIELDS = {
+    "frame_id": ("int", 0),
+    "t_ms": ("int", 0),
+    "radar_id": ("int", FUSED_RADAR_ID),
+    "points": ("rows", ("x", "y", "z", "v", "snr")),
+    "gt": ("rows", ("x", "y", "z")),
+    "action": ("label", ACTIONS),
+    "subject": ("int", 0),
+    "swing_state": ("label", SWING_STATES),
+}
+
 
 def make_record(
     frame_id: int,
@@ -30,30 +44,20 @@ def make_record(
     swing_state: str,
     fused: bool = False,
 ) -> dict:
-    """Assemble one dataset record with a fixed key order.
+    """One dataset record, its arguments in file order, checked by :func:`validate_record`.
 
-    ``points`` and ``gt`` are rows of numbers: nested lists or a 2-D array.
+    ``points`` and ``gt`` are rows of numbers (nested lists or a 2-D array),
+    stored as Python floats; a numpy integer is stored as an int, and every
+    other value as given, so what :func:`read_jsonl` would refuse raises here.
     """
-    if swing_state not in SWING_STATES:
-        raise ValueError(f"swing_state must be one of {SWING_STATES}, got {swing_state!r}")
+    values = (frame_id, t_ms, radar_id, points, gt, action, subject, swing_state)
     rec = {
-        "frame_id": int(frame_id),
-        "t_ms": int(t_ms),
-        "radar_id": int(radar_id),
-        "points": _float_rows(points),
-        "gt": _float_rows(gt),
-        "action": str(action),
-        "subject": int(subject),
-        "swing_state": swing_state,
+        k: np.asarray(v, dtype=float).tolist() if kind == "rows" else int(v) if isinstance(v, np.integer) else v
+        for (k, (kind, _)), v in zip(RECORD_FIELDS.items(), values)
     }
     if fused:
         rec["fused"] = True
-    return rec
-
-
-def _float_rows(rows) -> list:
-    """Rows of numbers (nested lists or a 2-D array) as lists of Python floats."""
-    return np.asarray(rows, dtype=float).tolist()
+    return validate_record(rec)
 
 
 def _rows_of(rows, width: int) -> bool:
@@ -65,30 +69,36 @@ def _rows_of(rows, width: int) -> bool:
 
 
 def validate_record(rec) -> dict:
-    """Check a record's layout, naming its frame and the field: every key; integer
-    (not bool) ids, time and subject; an ``action`` in ``ACTIONS``, a ``swing_state``
-    in ``SWING_STATES``, ``fused`` absent or true; 32 ``[x, y, z]`` rows in ``gt``
-    and ``[x, y, z, v, snr]`` points. These are type and membership checks only:
-    point and joint values are checked where they become arrays."""
+    """Check a record against ``RECORD_FIELDS``, naming its frame and the field:
+    every key; integer (not bool) ids, time and subject at or above their least
+    values; an ``action`` in ``ACTIONS``, a ``swing_state`` in ``SWING_STATES``,
+    ``fused`` absent or true; 32 ``[x, y, z]`` rows in ``gt`` and ``[x, y, z, v,
+    snr]`` points. These are type, range and membership checks only: point and
+    joint values are checked where they become arrays."""
     if not isinstance(rec, dict):
         raise ValueError(f"record is a {type(rec).__name__}, not an object")
-    for k in ("frame_id", "t_ms", "radar_id", "points", "gt", "action", "subject", "swing_state"):
+    for k in RECORD_FIELDS:
         if k not in rec:
             raise ValueError(f"record missing key {k!r}")
-    fid, gt = rec["frame_id"], rec["gt"]
-    for k in ("frame_id", "t_ms", "radar_id", "subject"):
-        if type(rec[k]) is not int:  # a bool is no int here
-            raise ValueError(f"frame {fid}: {k} must be an integer, got {rec[k]!r}")
-    for k, allowed in (("action", ACTIONS), ("swing_state", SWING_STATES)):
-        if rec[k] not in allowed:
-            raise ValueError(f"frame {fid}: {k} must be one of {allowed}, got {rec[k]!r}")
+    fid = rec["frame_id"]
+    for k, (kind, rule) in RECORD_FIELDS.items():
+        v = rec[k]
+        if kind == "int":
+            if type(v) is not int:
+                raise ValueError(f"frame {fid}: {k} must be an integer, got {v!r}")
+            if v < rule:
+                raise ValueError(f"frame {fid}: {k} must be >= {rule}, got {v}")
+        elif kind == "label":
+            if v not in rule:
+                raise ValueError(f"frame {fid}: {k} must be one of {rule}, got {v!r}")
+        elif not (_rows_of(v, len(rule)) and (k != "gt" or len(v) == 32)):
+            cols = f"[{', '.join(rule)}]"
+            if k != "gt":
+                raise ValueError(f"frame {fid}: {k} are not {cols} rows")
+            got = f"{len(v)} rows" if _rows_of(v, len(rule)) else f"rows that are not {len(rule)} values each"
+            raise ValueError(f"frame {fid}: gt is not 32 finite {cols} rows (got {got})")
     if rec.get("fused", True) is not True:
         raise ValueError(f"frame {fid}: fused must be true when present, got {rec['fused']!r}")
-    if not (_rows_of(gt, 3) and len(gt) == 32):
-        got = f"{len(gt)} rows" if _rows_of(gt, 3) else "rows that are not 3 values each"
-        raise ValueError(f"frame {fid}: gt is not 32 finite [x, y, z] rows (got {got})")
-    if not _rows_of(rec["points"], 5):
-        raise ValueError(f"frame {fid}: points are not [x, y, z, v, snr] rows")
     return rec
 
 

@@ -222,6 +222,32 @@ def test_a_meta_file_with_one_snr_bound_names_the_missing_field(small_pipeline, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_max", ["16", 2.5, True, 1], ids=["text", "float", "bool", "below-2"])
+def test_a_meta_n_max_that_is_no_count_is_refused_naming_the_file(small_pipeline, tmp_path, n_max):
+    _, _, fused, _ = small_pipeline
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(fused.read_bytes())
+    meta = json.loads((fused.parent / (fused.name + ".meta.json")).read_text())
+    meta_path = tmp_path / "data.jsonl.meta.json"
+    meta_path.write_text(json.dumps({**meta, "n_max": n_max}))
+    out = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match=re.escape(f"{meta_path}: n_max must be an integer >= 2, got {n_max!r}")):
+        main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(out)])
+    assert not out.exists()
+
+
+def test_a_meta_file_without_snr_bounds_beside_the_data_is_refused(small_pipeline, tmp_path):
+    _, _, fused, _ = small_pipeline
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(fused.read_bytes())
+    meta_path = tmp_path / "data.jsonl.meta.json"
+    meta_path.write_text(json.dumps({"n_max": 16}))
+    out = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match=re.escape(f"{meta_path} has no 'snr_min' field")):
+        main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(out)])
+    assert not out.exists()
+
+
 def test_preprocess_snr_meta_without_bounds_is_an_error(small_pipeline, tmp_path):
     _, raw, _, _ = small_pipeline
     meta = tmp_path / "empty.meta.json"

@@ -842,22 +842,6 @@ def test_predict_batch_peak_memory_stays_below_100_mb(variant):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _save_version_1(mp, path):
-    """What the version-1 saver wrote: each parameter as a JSON list of numbers."""
-    doc = {
-        "format": "radarpose-checkpoint",
-        "version": 1,
-        "config": asdict(mp.config),
-        "norm": {
-            "gt_min": None if mp.gt_min is None else mp.gt_min.tolist(),
-            "gt_max": None if mp.gt_max is None else mp.gt_max.tolist(),
-            "snr_bounds": None if mp.snr_bounds is None else list(mp.snr_bounds),
-        },
-        "params": {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()} for k, v in mp.params.items()},
-    }
-    path.write_text(json.dumps(doc), encoding="utf-8")
-
-
 def test_checkpoint_roundtrip(tmp_path):
     cfg = toy_config("dual_cnn", seed=18)
     ex = toy_examples(np.random.default_rng(12), cfg, n_frames=5)
@@ -880,24 +864,6 @@ def test_checkpoint_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     save_checkpoint(mp, again)
     assert again.read_bytes() == path.read_bytes()
-
-
-def test_checkpoint_reads_version_1(tmp_path):
-    cfg = toy_config("dual_mlp", seed=19)
-    ex = toy_examples(np.random.default_rng(13), cfg, n_frames=5)
-    mp, _ = train(cfg, ex, Hyper(lr=1e-3, batch=5, epochs=1, seed=6, val_fraction=0.0))
-    mp.snr_bounds = (2.5, 40.0)
-    path = tmp_path / "v1.json"
-    _save_version_1(mp, path)
-    loaded = load_checkpoint(path)
-    assert loaded.config == cfg
-    assert loaded.params.keys() == mp.params.keys()
-    for k in mp.params:
-        assert loaded.params[k].tobytes() == mp.params[k].tobytes()
-    assert loaded.gt_min.tobytes() == mp.gt_min.tobytes()
-    assert loaded.gt_max.tobytes() == mp.gt_max.tobytes()
-    assert loaded.snr_bounds == mp.snr_bounds
-    assert predict_batch(loaded, ex).tobytes() == predict_batch(mp, ex).tobytes()
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308]
@@ -938,6 +904,19 @@ def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
         assert loaded.params[k].tobytes() == mp.params[k].tobytes(), k
 
 
+def test_a_checked_in_version_2_checkpoint_still_loads():
+    # tests/data/checkpoint_v2.json was written by the script beside it, which pins what it holds
+    from data import make_checkpoint_v2 as fixture
+
+    loaded = load_checkpoint(fixture.FIXTURE_PATH)
+    assert loaded.config == fixture.CONFIG
+    assert loaded.flat.tobytes() == fixture.flat_values(loaded.flat.size).tobytes()
+    assert loaded.flat.size == param_count(fixture.CONFIG) == 594
+    assert loaded.gt_min.tolist() == fixture.NORM["gt_min"]
+    assert loaded.gt_max.tolist() == fixture.NORM["gt_max"]
+    assert loaded.snr_bounds == fixture.NORM["snr_bounds"]
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
@@ -945,10 +924,12 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(path)
     save_checkpoint(init_params(toy_config("dual_mlp", seed=22)), path)
     doc = json.loads(path.read_text())
-    doc["version"] = 3
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
-        load_checkpoint(path)
+    for version in (3, 1):
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        message = rf"unsupported checkpoint version {version} in .*; this reader takes version 2 only$"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
@@ -956,11 +937,9 @@ def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(mp, path)
     doc = json.loads(path.read_text())
-    _save_version_1(mp, path)
-    doc_v1 = json.loads(path.read_text())
 
-    def load_edited(edit, base=doc):
-        bad = json.loads(json.dumps(base))
+    def load_edited(edit):
+        bad = json.loads(json.dumps(doc))
         edit(bad)
         path.write_text(json.dumps(bad))
         return load_checkpoint(path)
@@ -998,7 +977,7 @@ def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
         load_edited(lambda doc: doc["params"].pop("head.out.b"))
     with pytest.raises(ValueError, match=r"has parameter 'extra\.w' that its config does not define"):
         load_edited(lambda doc: doc["params"].update({"extra.w": {"shape": [1], "data": [0.0]}}))
-    # values: base64 text, byte count and finiteness, in both versions
+    # values: base64 text, byte count and finiteness
     with pytest.raises(ValueError, match=r"'head\.out\.b' data is not valid base64"):
         load_edited(set_data("head.out.b", "AAAA*AAAAAAAAAA="))
     with pytest.raises(ValueError, match=r"'head\.out\.b' data is not valid base64"):
@@ -1008,20 +987,29 @@ def test_checkpoint_rejects_a_layout_its_config_does_not_define(tmp_path):
     with pytest.raises(ValueError, match=r"'head\.out\.b' holds nan at flat index 1"):
         load_edited(set_data("head.out.b", encode([0.0, np.nan] + [0.0] * (n_out - 2))))
     with pytest.raises(ValueError, match=r"'head\.out\.w' holds inf at flat index 0"):
-        load_edited(set_data("head.out.w", [np.inf] + doc_v1["params"]["head.out.w"]["data"][1:]), base=doc_v1)
-    with pytest.raises(ValueError, match=r"'head\.out\.b' has 5 values"):
-        load_edited(set_data("head.out.b", [0.0] * 5), base=doc_v1)
-    # version 1 data is JSON numbers, not strings that happen to parse as floats
-    with pytest.raises(ValueError, match=r"'head\.out\.b' holds '0\.5' at flat index 1, not a JSON number"):
-        load_edited(set_data("head.out.b", [0.0, "0.5"] + [0.0] * (n_out - 2)), base=doc_v1)
-    with pytest.raises(ValueError, match=r"'head\.out\.b' holds True at flat index 0, not a JSON number"):
-        load_edited(set_data("head.out.b", [True] + [0.0] * (n_out - 1)), base=doc_v1)
-    with pytest.raises(ValueError, match=r"'head\.out\.b' data is not a JSON list of numbers"):
-        load_edited(set_data("head.out.b", encode(np.zeros(n_out))), base=doc_v1)
-    for base in (doc, doc_v1):
-        with pytest.raises(ValueError, match=r"norm field 'gt_min'"):
-            load_edited(set_norm("gt_min", [0.0, np.nan, 1.0]), base=base)
-        with pytest.raises(ValueError, match=r"norm field 'gt_max'"):
-            load_edited(set_norm("gt_max", [0.0, 1.0, -np.inf]), base=base)
-        with pytest.raises(ValueError, match=r"norm field 'snr_bounds'"):
-            load_edited(set_norm("snr_bounds", [np.inf, 40.0]), base=base)
+        load_edited(set_data("head.out.w", encode(np.r_[np.inf, mp.params["head.out.w"].ravel()[1:]])))
+    # the norm block: 3 finite values per joint bound with gt_max above gt_min, 2 ordered finite SNR bounds
+    for name, value in [
+        ("gt_min", [0.0, np.nan, 1.0]),
+        ("gt_min", 0.5),
+        ("gt_min", [0.0, "1.0", 1.0]),
+        ("gt_max", [0.0, 1.0, -np.inf]),
+        ("gt_max", [1.0, 2.0]),
+        ("gt_max", [1.0, 2.0, 3.0, 4.0]),
+        ("snr_bounds", [np.inf, 40.0]),
+        ("snr_bounds", [1.0, 5.0, 9.0]),
+        ("snr_bounds", [True, 40.0]),
+    ]:
+        with pytest.raises(ValueError, match=rf"norm field '{name}' must be {3 if name != 'snr_bounds' else 2} finite"):
+            load_edited(set_norm(name, value))
+    norm = {"gt_min": [-1.0, 0.0, 0.0], "gt_max": [1.0, 2.0, 1.5], "snr_bounds": [1.0, 40.0]}
+    with pytest.raises(ValueError, match=r"norm field 'gt_max' \[1\.0, 0\.0, 1\.5\] must exceed gt_min"):
+        load_edited(lambda doc: doc["norm"].update({**norm, "gt_max": [1.0, 0.0, 1.5]}))
+    with pytest.raises(ValueError, match=r"norm field 'gt_max' \[1\.0, -1\.0, 1\.5\] must exceed gt_min"):
+        load_edited(lambda doc: doc["norm"].update({**norm, "gt_max": [1.0, -1.0, 1.5]}))
+    with pytest.raises(ValueError, match=r"norm field 'snr_bounds' \[5\.0, 1\.0\] must have snr_min <= snr_max"):
+        load_edited(lambda doc: doc["norm"].update({**norm, "snr_bounds": [5.0, 1.0]}))
+    # a null field, and bounds that are equal or ordered, still load
+    assert load_edited(lambda doc: doc["norm"].update({**norm, "snr_bounds": [7.0, 7.0]})).snr_bounds == (7.0, 7.0)
+    loaded = load_edited(lambda doc: doc["norm"].update({"gt_min": None, "gt_max": None, "snr_bounds": None}))
+    assert (loaded.gt_min, loaded.gt_max, loaded.snr_bounds) == (None, None, None)

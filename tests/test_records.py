@@ -1,25 +1,32 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radarpose.records import ACTIONS, SWING_STATES, make_record, read_jsonl, write_jsonl
+from radarpose.records import ACTIONS, FUSED_RADAR_ID, SWING_STATES, make_record, read_jsonl, write_jsonl
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
-_ints = st.integers(-(2**53), 2**53)
+
+
+def _ints(least, most=2**53):
+    """Integers from ``least`` to ``most`` (JSON keeps them exact), as Python or numpy ints."""
+    values = st.integers(least, most)
+    return values | values.map(np.int64)
+
 
 _records = st.lists(
     st.builds(
         make_record,
-        frame_id=_ints,
-        t_ms=_ints,
-        radar_id=st.integers(-1, 1),
+        frame_id=_ints(0),
+        t_ms=_ints(0),
+        radar_id=_ints(FUSED_RADAR_ID, 1),
         points=st.lists(st.lists(_floats, min_size=5, max_size=5), max_size=6),
         gt=st.lists(st.lists(_floats, min_size=3, max_size=3), min_size=32, max_size=32),
         action=st.sampled_from(ACTIONS),
-        subject=_ints,
+        subject=_ints(0),
         swing_state=st.sampled_from(SWING_STATES),
         fused=st.booleans(),
     ),
@@ -30,10 +37,12 @@ _records = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_records)
 def test_jsonl_round_trip_is_exact_and_rewrites_the_same_bytes(tmp_path_factory, records):
+    # every record make_record accepts reads back equal and rewrites the same bytes
     d = tmp_path_factory.mktemp("jsonl")
     write_jsonl(d / "a.jsonl", records)
     back = read_jsonl(d / "a.jsonl")
     assert back == records
+    assert all(type(rec[k]) is int for rec in back for k in ("frame_id", "t_ms", "radar_id", "subject"))
     write_jsonl(d / "b.jsonl", back)
     assert (d / "b.jsonl").read_bytes() == (d / "a.jsonl").read_bytes()
 
@@ -70,9 +79,14 @@ def test_read_rejects_a_non_finite_token_naming_line_and_frame(tmp_path, token):
         (lambda rec: rec.update(swing_state="up"),
          r"frame 7: swing_state must be one of \('none', 'left', 'right'\), got 'up'$"),
         (lambda rec: rec.update(fused=False), r"frame 7: fused must be true when present, got False$"),
+        (lambda rec: rec.update(frame_id=-1), r"frame -1: frame_id must be >= 0, got -1$"),
+        (lambda rec: rec.update(t_ms=-50), r"frame 7: t_ms must be >= 0, got -50$"),
+        (lambda rec: rec.update(radar_id=-2), r"frame 7: radar_id must be >= -1, got -2$"),
+        (lambda rec: rec.update(subject=-3), r"frame 7: subject must be >= 0, got -3$"),
     ],
     ids=["31-joints", "4-value-joint", "number-gt", "4-value-point", "no-action", "radar-id-string",
-         "t-ms-string", "subject-float", "frame-id-bool", "unknown-action", "unknown-swing-state", "fused-false"],
+         "t-ms-string", "subject-float", "frame-id-bool", "unknown-action", "unknown-swing-state", "fused-false",
+         "negative-frame-id", "negative-t-ms", "radar-id-below-fused", "negative-subject"],
 )
 def test_read_names_line_and_frame_of_a_malformed_record(tmp_path, edit, message):
     rec = _record(7)
@@ -80,6 +94,29 @@ def test_read_names_line_and_frame_of_a_malformed_record(tmp_path, edit, message
     path = tmp_path / "bad.jsonl"
     path.write_text("\n" + json.dumps(_record(6)) + "\n" + json.dumps(rec) + "\n")
     with pytest.raises(ValueError, match=rf"bad\.jsonl line 3: {message}"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("action", "jump", r"^frame 1: action must be one of \('walk_toward', .*\), got 'jump'$"),
+        ("frame_id", 2.5, r"^frame 2\.5: frame_id must be an integer, got 2\.5$"),
+        ("radar_id", True, r"^frame 1: radar_id must be an integer, got True$"),
+        ("subject", -3, r"^frame 1: subject must be >= 0, got -3$"),
+    ],
+    ids=["unknown-action", "float-frame-id", "bool-radar-id", "negative-subject"],
+)
+def test_make_record_refuses_what_read_jsonl_refuses(tmp_path, field, value, message):
+    args = dict(frame_id=1, t_ms=0, radar_id=0, points=[], gt=[[0, 0, 0]] * 32, action="walk_toward", subject=0,
+                swing_state="none")
+    with pytest.raises(ValueError, match=message):
+        make_record(**{**args, field: value})
+    rec = make_record(**args)
+    rec[field] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl line 1: {message[1:]}"):
         read_jsonl(path)
 
 
