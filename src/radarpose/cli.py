@@ -34,9 +34,6 @@ from .model import VARIANTS, Hyper, ModelConfig, load_checkpoint
 from .pointcloud import DEFAULT_POSES
 from .records import read_jsonl
 
-#: the flags whose config field has another name; every other flag sets the field it names
-FLAG_FIELDS = {"frames": "n_train", "test_frames": "n_test", "duration": "duration_s"}
-
 
 def parse_config_file(path) -> dict:
     """Read a ``key = value`` text file; '#' starts a comment."""
@@ -67,6 +64,13 @@ def _comma_list(text: str) -> tuple:
 
 def _comma_ints(text: str) -> tuple:
     return tuple(int(s) for s in text.split(",") if s.strip())
+
+
+#: the flags whose config field has another name; every other flag sets the field it names
+FLAG_FIELDS = {"frames": "n_train", "test_frames": "n_test", "duration": "duration_s"}
+
+#: the type of each field flag whose default's type cannot parse it
+FLAG_TYPES = {"actions": _comma_list, "subjects": _comma_ints, "keep_files": _to_bool, "stop_loss": float}
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def fields_of(p, cls, *dests):
+        """A flag per dest that sets the ``cls`` field it names (through ``FLAG_FIELDS``), with that field's default."""
+        for dest in dests:
+            default = getattr(cls, FLAG_FIELDS.get(dest, dest))
+            p.add_argument(f"--{dest.replace('_', '-')}", type=FLAG_TYPES.get(dest, type(default)), default=default)
+
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file; flags override it")
@@ -169,38 +179,23 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("simulate", cmd_simulate, "generate a synthetic radar dataset (JSONL)")
-    p.add_argument("--actions", type=_comma_list, default=AblationConfig.actions)
+    fields_of(p, AblationConfig, "actions", "fps", "duration", "walk_speed", "subjects", "seed", "noise_std",
+              "threshold_db", "density")
     p.add_argument("--frames", type=int, default=200)
-    p.add_argument("--fps", type=float, default=AblationConfig.fps)
-    p.add_argument("--duration", type=float, default=AblationConfig.duration_s)
-    p.add_argument("--walk-speed", type=float, default=AblationConfig.walk_speed)
     p.add_argument("--radars", type=int, choices=range(1, len(DEFAULT_POSES) + 1), default=len(DEFAULT_POSES))
-    p.add_argument("--subjects", type=_comma_ints, default=AblationConfig.subjects)
-    p.add_argument("--seed", type=int, default=AblationConfig.seed)
-    p.add_argument("--noise-std", type=float, default=AblationConfig.noise_std)
-    p.add_argument("--threshold-db", type=float, default=AblationConfig.threshold_db)
-    p.add_argument("--density", type=int, default=AblationConfig.density)
     p.add_argument("--out", default="dataset.jsonl")
 
     p = add("preprocess", cmd_preprocess, "fuse, denoise, and SNR-normalize a raw dataset")
     p.add_argument("--in", dest="input", default="dataset.jsonl")
     p.add_argument("--out", default="fused.jsonl")
-    p.add_argument("--eps", type=float, default=AblationConfig.eps)
-    p.add_argument("--min-pts", type=int, default=AblationConfig.min_pts)
-    p.add_argument("--window-ms", type=float, default=AblationConfig.window_ms)
-    p.add_argument("--n-max", type=int, default=AblationConfig.n_max)
+    fields_of(p, AblationConfig, "eps", "min_pts", "window_ms", "n_max")
     p.add_argument("--radars", type=_comma_ints, default=(0, 1))
     p.add_argument("--snr-meta")
 
     p = add("train", cmd_train, "train one model variant on a fused dataset")
     p.add_argument("--data", default="fused.jsonl")
     p.add_argument("--variant", choices=VARIANTS, default=ModelConfig.variant)
-    p.add_argument("--lr", type=float, default=Hyper.lr)
-    p.add_argument("--batch", type=int, default=Hyper.batch)
-    p.add_argument("--epochs", type=int, default=Hyper.epochs)
-    p.add_argument("--seed", type=int, default=Hyper.seed)
-    p.add_argument("--val-fraction", type=float, default=Hyper.val_fraction)
-    p.add_argument("--stop-loss", type=float, default=Hyper.stop_loss)
+    fields_of(p, Hyper, "lr", "batch", "epochs", "seed", "val_fraction", "stop_loss")
     p.add_argument("--n-max", type=int, help=f"default: the n_max of the data's .meta.json, else {ModelConfig.n_max}")
     p.add_argument("--checkpoint", default="checkpoint.json")
     p.add_argument("--loss-svg")
@@ -212,23 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ablate", cmd_ablate, "run the four-configuration comparison")
     p.add_argument("--out-csv", default="ablation.csv")
-    p.add_argument("--workdir", default=AblationConfig.workdir)
-    p.add_argument("--frames", type=int, default=AblationConfig.n_train)
-    p.add_argument("--test-frames", type=int, default=AblationConfig.n_test)
-    p.add_argument("--seed", type=int, default=AblationConfig.seed)
-    p.add_argument("--epochs", type=int, default=AblationConfig.epochs)
-    p.add_argument("--lr", type=float, default=AblationConfig.lr)
-    p.add_argument("--batch", type=int, default=AblationConfig.batch)
-    p.add_argument("--train-seed", type=int, default=AblationConfig.train_seed)
-    p.add_argument("--n-max", type=int, default=AblationConfig.n_max)
-    p.add_argument("--eps", type=float, default=AblationConfig.eps)
-    p.add_argument("--min-pts", type=int, default=AblationConfig.min_pts)
-    p.add_argument("--window-ms", type=float, default=AblationConfig.window_ms)
-    p.add_argument("--noise-std", type=float, default=AblationConfig.noise_std)
-    p.add_argument("--threshold-db", type=float, default=AblationConfig.threshold_db)
-    p.add_argument("--fps", type=float, default=AblationConfig.fps)
-    p.add_argument("--duration", type=float, default=AblationConfig.duration_s)
-    p.add_argument("--keep-files", type=_to_bool, default=AblationConfig.keep_files)
+    fields_of(p, AblationConfig, "workdir", "frames", "test_frames", "seed", "epochs", "lr", "batch", "train_seed",
+              "n_max", "eps", "min_pts", "window_ms", "noise_std", "threshold_db", "fps", "duration", "keep_files")
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of all gradients")
     p.add_argument("--seed", type=int, default=0)

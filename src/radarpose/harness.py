@@ -34,6 +34,7 @@ from .pointcloud import (
     DEFAULT_WINDOW_MS,
     FusedFrame,
     check_dbscan_args,
+    check_snr_bounds,
     check_window_ms,
     fuse_records,
     normalize_snr,
@@ -362,13 +363,15 @@ def meta_path(path) -> Path:
 
 def read_meta(meta_file) -> tuple:
     """``((snr_min, snr_max), n_max)`` of the preprocess meta file ``meta_file``;
-    ``n_max`` is None when the file holds none. A missing SNR bound, or an
-    ``n_max`` that is not an integer >= 2, raises naming the file and the field."""
+    ``n_max`` is None when the file holds none. A missing SNR bound, bounds
+    that :func:`normalize_snr` would refuse, or an ``n_max`` that is not an
+    integer >= 2 raise naming the file and the field."""
     meta = json.loads(Path(meta_file).read_text(encoding="utf-8"))
     for k in ("snr_min", "snr_max"):
         if k not in meta:
             raise ValueError(f"{meta_file} has no {k!r} field; SNR bounds need both snr_min and snr_max")
     try:
+        check_snr_bounds(meta["snr_min"], meta["snr_max"])
         n_max = require_count("n_max", meta["n_max"], 2) if "n_max" in meta else None
     except ValueError as exc:
         raise ValueError(f"{meta_file}: {exc}") from None
@@ -380,8 +383,10 @@ def preprocess(records, radar_ids, cfg: AblationConfig, snr_bounds=None, out_pat
 
     The bounds are ``snr_bounds`` when given, else those of the fused
     records. With ``out_path`` the records are written there as JSONL, and
-    the bounds and settings to its :func:`meta_path`.
+    the bounds and settings to its :func:`meta_path`. An ``n_max`` that is
+    not an integer >= 2 raises before anything is fused, as in :func:`read_meta`.
     """
+    require_count("n_max", cfg.n_max, 2)
     fused = fuse_records(records, radar_ids=radar_ids, window_ms=cfg.window_ms, eps=cfg.eps, min_pts=cfg.min_pts)
     fused, (lo, hi) = normalize_snr(fused, snr_bounds)
     if out_path is not None:

@@ -112,7 +112,7 @@ class ModelConfig:
 
     @property
     def n_joints_out(self) -> int:
-        return N_JOINTS - len(set(self.excluded_joints))
+        return len(self.included_joints)
 
     @property
     def output_width(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -199,20 +200,26 @@ def snr_bounds(records) -> tuple[float, float]:
     return float(min(values)), float(max(values))
 
 
+def check_snr_bounds(lo, hi) -> None:
+    """Raise unless ``lo`` and ``hi`` are finite real numbers (a bool is not one) with ``lo <= hi``."""
+    real = all(isinstance(b, numbers.Real) and not isinstance(b, bool) and math.isfinite(b) for b in (lo, hi))
+    if not (real and lo <= hi):
+        raise ValueError(f"SNR bounds must be finite with snr_min <= snr_max, got snr_min={lo!r}, snr_max={hi!r}")
+
+
 def normalize_snr(records, bounds: tuple[float, float] | None = None):
     """Min-max scale point SNR to [0, 1].
 
     Without explicit ``bounds`` the constants are computed from ``records``
     (use the training split for that, then pass the returned constants when
     scaling test data; scaled test values may fall outside [0, 1]). A
-    degenerate span maps everything to 0.5. Bounds with ``lo > hi`` or a
-    non-finite value raise.
+    degenerate span maps everything to 0.5. Bounds that
+    :func:`check_snr_bounds` refuses raise.
     """
     if bounds is None:
         bounds = snr_bounds(records)
     lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"SNR bounds must be finite with snr_min <= snr_max, got snr_min={lo}, snr_max={hi}")
+    check_snr_bounds(lo, hi)
     span = hi - lo
     out = []
     for rec in records:

@@ -22,46 +22,54 @@ from .physics import ChirpConfig, require_count
 from .pointcloud import DEFAULT_POSES, RadarPose, check_radar_ids, rotate_to_radar, transform_to_radar
 from .records import ACTIONS, make_record, write_jsonl
 
-#: Azure-Kinect-style 32-joint convention: name -> parent (pelvis is the root).
-JOINT_PARENT = {
-    "pelvis": None,
-    "spine_navel": "pelvis",
-    "spine_chest": "spine_navel",
-    "neck": "spine_chest",
-    "clavicle_left": "spine_chest",
-    "shoulder_left": "clavicle_left",
-    "elbow_left": "shoulder_left",
-    "wrist_left": "elbow_left",
-    "hand_left": "wrist_left",
-    "handtip_left": "hand_left",
-    "thumb_left": "wrist_left",
-    "clavicle_right": "spine_chest",
-    "shoulder_right": "clavicle_right",
-    "elbow_right": "shoulder_right",
-    "wrist_right": "elbow_right",
-    "hand_right": "wrist_right",
-    "handtip_right": "hand_right",
-    "thumb_right": "wrist_right",
-    "hip_left": "pelvis",
-    "knee_left": "hip_left",
-    "ankle_left": "knee_left",
-    "foot_left": "ankle_left",
-    "hip_right": "pelvis",
-    "knee_right": "hip_right",
-    "ankle_right": "knee_right",
-    "foot_right": "ankle_right",
-    "head": "neck",
-    "nose": "head",
-    "eye_left": "head",
-    "ear_left": "head",
-    "eye_right": "head",
-    "ear_right": "head",
+# The subject faces -y (toward the radar wall); left-side joints sit at +x.
+_S3 = 1.0 / math.sqrt(3.0)
+
+#: Azure-Kinect-style 32-joint body, one row per joint, parents before their
+#: children: name -> (parent, bone-length key in :data:`DEFAULT_BONE_LENGTHS`,
+#: rest-pose direction of the bone from the parent, reflection gain of that
+#: bone). The pelvis is the root and has no bone. Gains: torso 1.0, head 0.8,
+#: limbs 0.5, extremities 0.3.
+JOINT_TABLE = {
+    "pelvis": (None, None, None, None),
+    "spine_navel": ("pelvis", "pelvis_spine", (0, 0, 1), 1.0),
+    "spine_chest": ("spine_navel", "spine", (0, 0, 1), 1.0),
+    "neck": ("spine_chest", "chest_neck", (0, 0, 1), 1.0),
+    "clavicle_left": ("spine_chest", "chest_clavicle", (1, 0, 0), 1.0),
+    "shoulder_left": ("clavicle_left", "clavicle_shoulder", (1, 0, 0), 0.5),
+    "elbow_left": ("shoulder_left", "upper_arm", (0, 0, -1), 0.5),
+    "wrist_left": ("elbow_left", "forearm", (0, 0, -1), 0.3),
+    "hand_left": ("wrist_left", "wrist_hand", (0, 0, -1), 0.3),
+    "handtip_left": ("hand_left", "hand_tip", (0, 0, -1), 0.3),
+    "thumb_left": ("wrist_left", "wrist_thumb", (_S3, -_S3, -_S3), 0.3),
+    "clavicle_right": ("spine_chest", "chest_clavicle", (-1, 0, 0), 1.0),
+    "shoulder_right": ("clavicle_right", "clavicle_shoulder", (-1, 0, 0), 0.5),
+    "elbow_right": ("shoulder_right", "upper_arm", (0, 0, -1), 0.5),
+    "wrist_right": ("elbow_right", "forearm", (0, 0, -1), 0.3),
+    "hand_right": ("wrist_right", "wrist_hand", (0, 0, -1), 0.3),
+    "handtip_right": ("hand_right", "hand_tip", (0, 0, -1), 0.3),
+    "thumb_right": ("wrist_right", "wrist_thumb", (-_S3, -_S3, -_S3), 0.3),
+    "hip_left": ("pelvis", "pelvis_hip", (1, 0, 0), 1.0),
+    "knee_left": ("hip_left", "thigh", (0, 0, -1), 0.5),
+    "ankle_left": ("knee_left", "shin", (0, 0, -1), 0.5),
+    "foot_left": ("ankle_left", "ankle_foot", (0, -1, 0), 0.3),
+    "hip_right": ("pelvis", "pelvis_hip", (-1, 0, 0), 1.0),
+    "knee_right": ("hip_right", "thigh", (0, 0, -1), 0.5),
+    "ankle_right": ("knee_right", "shin", (0, 0, -1), 0.5),
+    "foot_right": ("ankle_right", "ankle_foot", (0, -1, 0), 0.3),
+    "head": ("neck", "neck_head", (0, 0, 1), 0.8),
+    "nose": ("head", "head_nose", (0, -1, 0), 0.8),
+    "eye_left": ("head", "head_eye", (0.35, -0.9, 0.25), 0.8),
+    "ear_left": ("head", "head_ear", (1, 0, 0), 0.8),
+    "eye_right": ("head", "head_eye", (-0.35, -0.9, 0.25), 0.8),
+    "ear_right": ("head", "head_ear", (-1, 0, 0), 0.8),
 }
 
-JOINT_NAMES = tuple(JOINT_PARENT)
+JOINT_PARENT = {name: parent for name, (parent, *_) in JOINT_TABLE.items()}
+JOINT_NAMES = tuple(JOINT_TABLE)
 JOINT_INDEX = {name: i for i, name in enumerate(JOINT_NAMES)}
 N_JOINTS = len(JOINT_NAMES)
-BONES = tuple((JOINT_PARENT[c], c) for c in JOINT_NAMES if JOINT_PARENT[c] is not None)
+BONES = tuple((parent, c) for c, parent in JOINT_PARENT.items() if parent is not None)
 
 #: One length per symmetric bone class [m]; left/right share a value so the
 #: rest pose mirrors exactly. Subject ``s`` has these lengths times
@@ -90,49 +98,6 @@ DEFAULT_BONE_LENGTHS = {
 #: Height of the rest-pose ankle above the floor [m].
 ANKLE_CLEARANCE = 0.10
 
-# (bone-length key, rest-pose unit direction) per child joint. The subject
-# faces -y (toward the radar wall); left-side joints sit at +x.
-_S3 = 1.0 / math.sqrt(3.0)
-_BONE_SPEC = {
-    "spine_navel": ("pelvis_spine", (0, 0, 1)),
-    "spine_chest": ("spine", (0, 0, 1)),
-    "neck": ("chest_neck", (0, 0, 1)),
-    "head": ("neck_head", (0, 0, 1)),
-    "nose": ("head_nose", (0, -1, 0)),
-    "eye_left": ("head_eye", (0.35, -0.9, 0.25)),
-    "eye_right": ("head_eye", (-0.35, -0.9, 0.25)),
-    "ear_left": ("head_ear", (1, 0, 0)),
-    "ear_right": ("head_ear", (-1, 0, 0)),
-    "clavicle_left": ("chest_clavicle", (1, 0, 0)),
-    "clavicle_right": ("chest_clavicle", (-1, 0, 0)),
-    "shoulder_left": ("clavicle_shoulder", (1, 0, 0)),
-    "shoulder_right": ("clavicle_shoulder", (-1, 0, 0)),
-    "elbow_left": ("upper_arm", (0, 0, -1)),
-    "elbow_right": ("upper_arm", (0, 0, -1)),
-    "wrist_left": ("forearm", (0, 0, -1)),
-    "wrist_right": ("forearm", (0, 0, -1)),
-    "hand_left": ("wrist_hand", (0, 0, -1)),
-    "hand_right": ("wrist_hand", (0, 0, -1)),
-    "handtip_left": ("hand_tip", (0, 0, -1)),
-    "handtip_right": ("hand_tip", (0, 0, -1)),
-    "thumb_left": ("wrist_thumb", (_S3, -_S3, -_S3)),
-    "thumb_right": ("wrist_thumb", (-_S3, -_S3, -_S3)),
-    "hip_left": ("pelvis_hip", (1, 0, 0)),
-    "hip_right": ("pelvis_hip", (-1, 0, 0)),
-    "knee_left": ("thigh", (0, 0, -1)),
-    "knee_right": ("thigh", (0, 0, -1)),
-    "ankle_left": ("shin", (0, 0, -1)),
-    "ankle_right": ("shin", (0, 0, -1)),
-    "foot_left": ("ankle_foot", (0, -1, 0)),
-    "foot_right": ("ankle_foot", (0, -1, 0)),
-}
-
-# (bone-length key, unit direction) per child joint, normalized once
-_BONE_UNIT = {
-    child: (key, np.asarray(direction, dtype=float) / np.linalg.norm(direction))
-    for child, (key, direction) in _BONE_SPEC.items()
-}
-
 #: Joint subsets used downstream (metrics, training target selection).
 LOWER_BODY_JOINTS = (
     "hip_left", "hip_right", "knee_left", "knee_right",
@@ -157,30 +122,10 @@ WALK_ARM_AMPLITUDE = math.radians(20.0)
 SWING_RAISE_MAX = math.radians(150.0)
 SWING_PERIOD_S = 1.5  # one arm raise and lower; also the walking gait period
 
-#: Reflection gain per body segment, keyed by child joint (torso > limbs).
-_TORSO = {"spine_navel", "spine_chest", "neck", "clavicle_left", "clavicle_right", "hip_left", "hip_right"}
-_HEAD = {"head", "nose", "eye_left", "eye_right", "ear_left", "ear_right"}
-_EXTREMITY = {
-    "wrist_left", "hand_left", "handtip_left", "thumb_left",
-    "wrist_right", "hand_right", "handtip_right", "thumb_right",
-    "foot_left", "foot_right",
-}
-
-
-def _bone_gain(child: str) -> float:
-    if child in _TORSO:
-        return 1.0
-    if child in _HEAD:
-        return 0.8
-    if child in _EXTREMITY:
-        return 0.3
-    return 0.5
-
-
 # parent joint, child joint and reflection gain of each bone, in BONES order
 _BONE_PARENT = np.array([JOINT_INDEX[p] for p, _ in BONES])
 _BONE_CHILD = np.array([JOINT_INDEX[c] for _, c in BONES])
-_BONE_GAIN = np.array([_bone_gain(c) for _, c in BONES])
+_BONE_GAIN = np.array([JOINT_TABLE[c][3] for _, c in BONES])
 
 
 @dataclass
@@ -245,9 +190,9 @@ def _template_table(body: int) -> tuple[np.ndarray, tuple]:
     joints[JOINT_INDEX["pelvis"]] = [0.0, 0.0, lengths["thigh"] + lengths["shin"] + ANKLE_CLEARANCE]
     depth_steps = []
     for child in JOINT_NAMES[1:]:  # parents come before their children
-        key, d = _BONE_UNIT[child]
-        parent = JOINT_INDEX[JOINT_PARENT[child]]
-        offset = lengths[key] * d
+        parent_name, key, direction, _ = JOINT_TABLE[child]
+        parent = JOINT_INDEX[parent_name]
+        offset = lengths[key] * (np.asarray(direction, dtype=float) / np.linalg.norm(direction))
         joints[JOINT_INDEX[child]] = joints[parent] + offset
         depth_steps.append((parent, float(offset[1])))
     joints.flags.writeable = False  # shared by every caller with this body

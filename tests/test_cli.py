@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -234,6 +235,35 @@ def test_a_meta_n_max_that_is_no_count_is_refused_naming_the_file(small_pipeline
     with pytest.raises(ValueError, match=re.escape(f"{meta_path}: n_max must be an integer >= 2, got {n_max!r}")):
         main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "snr_min, snr_max, shown",
+    [(40, 10, "snr_min=40, snr_max=10"), ("5", 10, "snr_min='5', snr_max=10"),
+     (True, 10, "snr_min=True, snr_max=10"), (0.0, math.inf, "snr_min=0.0, snr_max=inf")],
+    ids=["reversed", "text", "bool", "infinite"],
+)
+def test_meta_snr_bounds_that_normalize_snr_refuses_stop_train(small_pipeline, tmp_path, snr_min, snr_max, shown):
+    _, _, fused, _ = small_pipeline
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(fused.read_bytes())
+    meta = json.loads((fused.parent / (fused.name + ".meta.json")).read_text())
+    meta_path = tmp_path / "data.jsonl.meta.json"
+    meta_path.write_text(json.dumps({**meta, "snr_min": snr_min, "snr_max": snr_max}))
+    out = tmp_path / "ckpt.json"
+    message = f"{meta_path}: SNR bounds must be finite with snr_min <= snr_max, got {shown}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(out)])
+    assert not out.exists()
+
+
+def test_preprocess_refuses_an_n_max_its_meta_reader_refuses(small_pipeline, tmp_path):
+    _, raw, _, _ = small_pipeline
+    out = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 2, got 1$"):
+        main(["preprocess", "--in", str(raw), "--out", str(out), "--n-max", "1"])
+    assert not out.exists()
+    assert not (tmp_path / "f.jsonl.meta.json").exists()
 
 
 def test_a_meta_file_without_snr_bounds_beside_the_data_is_refused(small_pipeline, tmp_path):

@@ -23,13 +23,11 @@ from radarpose.scene import (
     DEPTH_MIN,
     JOINT_INDEX,
     JOINT_NAMES,
-    JOINT_PARENT,
+    JOINT_TABLE,
     REST_DEPTH,
     MotionConfig,
     generate_dataset,
     joint_velocities,
-    _BONE_SPEC,
-    _bone_gain,
     pose_at,
     reflectors_from_skeleton,
     skeleton_template,
@@ -44,6 +42,13 @@ def test_joint_table_is_a_32_joint_tree():
     assert len(JOINT_NAMES) == 32
     assert len(BONES) == 31
     assert JOINT_NAMES[0] == "pelvis"
+    assert JOINT_TABLE["pelvis"] == (None, None, None, None)
+    for child, (parent, key, direction, gain) in list(JOINT_TABLE.items())[1:]:
+        # the rest pose is built in table order, so each parent must already be placed
+        assert JOINT_INDEX[parent] < JOINT_INDEX[child]
+        assert key in DEFAULT_BONE_LENGTHS
+        assert len(direction) == 3 and np.linalg.norm(direction) > 0
+        assert gain in (1.0, 0.8, 0.5, 0.3)
 
 
 def test_template_mirrors_across_sagittal_plane():
@@ -76,10 +81,10 @@ def _template_per_call(lengths, depth):
     joints = np.zeros((len(JOINT_NAMES), 3))
     joints[JOINT_INDEX["pelvis"]] = [0.0, depth, lengths["thigh"] + lengths["shin"] + ANKLE_CLEARANCE]
     for child in JOINT_NAMES[1:]:
-        key, direction = _BONE_SPEC[child]
+        parent, key, direction, _ = JOINT_TABLE[child]
         d = np.asarray(direction, dtype=float)
         d /= np.linalg.norm(d)
-        joints[JOINT_INDEX[child]] = joints[JOINT_INDEX[JOINT_PARENT[child]]] + lengths[key] * d
+        joints[JOINT_INDEX[child]] = joints[JOINT_INDEX[parent]] + lengths[key] * d
     return joints
 
 
@@ -221,7 +226,7 @@ def _reflectors_per_bone(skel, density, radar_pose, velocities):
         for f in fracs:
             positions.append(p0 + f * (p1 - p0))
             vels.append(v0 + f * (v1 - v0))
-            gains.append(_bone_gain(child))
+            gains.append(JOINT_TABLE[child][3])
     positions = transform_to_radar(np.asarray(positions), radar_pose)
     vels = rotate_to_radar(np.asarray(vels), radar_pose)
     radial = np.sum(positions * vels, axis=1) / np.linalg.norm(positions, axis=1)
